@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -331,6 +332,9 @@ def _cmd_verify(args) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     all_ok = True
     for name, report in runs:
         (out_dir / f"{name}.json").write_text(
@@ -349,6 +353,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _jobs_arg(text: str) -> int:
+    """--jobs: an integer >= 1, capped at the machine's CPU count."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--objects", type=int, default=5, help="object count for the structural suite"
     )
     p.add_argument("--max-n", type=int, default=6, help="cap for the even suite")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs", type=_jobs_arg, default=1, help="worker processes (at most the CPU count)"
+    )
     p.add_argument(
         "--budget",
         type=float,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
-from .tournament import Tournament, is_strong
+from .tournament import Tournament, _unpack, is_strong
 
 SUPPORT_ENUM_LIMIT = 8
 
@@ -31,6 +31,15 @@ def payoff_matrix(t: Tournament) -> RationalMatrix:
             for i in range(n)
         ]
     )
+
+
+def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
+    """Integer rows of payoff_matrix(tournament_from_canonical(n, packed)),
+    built straight from the packed mask."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j, i_wins in _unpack(n, packed):
+        rows[i][j], rows[j][i] = (1, -1) if i_wins else (-1, 1)
+    return rows
 
 
 def assert_probability_vector(v: Sequence[Fraction]) -> Vector:

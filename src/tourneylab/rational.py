@@ -217,6 +217,31 @@ def solve_affine(
     return tuple(x), kernel_basis(M)
 
 
+def _pfaffian_expand(e: Sequence[Sequence]) -> Fraction | int:
+    """Pfaffian of the skew matrix with rows e, expanded along the first row and
+    memoised on the remaining indices; exact for int or Fraction entries."""
+    cache: dict[tuple[int, ...], Fraction | int] = {}
+
+    def pf(idx: tuple[int, ...]) -> Fraction | int:
+        if not idx:
+            return 1
+        got = cache.get(idx)
+        if got is not None:
+            return got
+        first = idx[0]
+        total = 0
+        for p in range(1, len(idx)):
+            coeff = e[first][idx[p]]
+            if coeff:
+                rest = idx[1:p] + idx[p + 1 :]
+                term = coeff * pf(rest)
+                total += term if p % 2 == 1 else -term
+        cache[idx] = total
+        return total
+
+    return pf(tuple(range(len(e))))
+
+
 def pfaffian(M: RationalMatrix) -> Fraction:
     """Exact Pfaffian by recursive expansion along the first row.
 
@@ -229,24 +254,4 @@ def pfaffian(M: RationalMatrix) -> Fraction:
         raise ValueError("pfaffian requires even dimension")
     if not M.is_skew_symmetric():
         raise ValueError("pfaffian requires a skew-symmetric matrix")
-    e = M.entries
-    cache: dict[tuple[int, ...], Fraction] = {}
-
-    def pf(idx: tuple[int, ...]) -> Fraction:
-        if not idx:
-            return Fraction(1)
-        got = cache.get(idx)
-        if got is not None:
-            return got
-        first = idx[0]
-        total = Fraction(0)
-        for p in range(1, len(idx)):
-            coeff = e[first][idx[p]]
-            if coeff:
-                rest = idx[1:p] + idx[p + 1 :]
-                term = coeff * pf(rest)
-                total += term if p % 2 == 1 else -term
-        cache[idx] = total
-        return total
-
-    return pf(tuple(range(M.rows)))
+    return Fraction(_pfaffian_expand(M.entries))

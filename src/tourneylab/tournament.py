@@ -270,16 +270,17 @@ def canonical_form(t: Tournament) -> int:
     return best
 
 
+def _unpack(n: int, packed: int) -> list[tuple[int, int, bool]]:
+    """(i, j, whether i beats j) for each pair i < j, in the bit order of _packed."""
+    ps = _pairs(n)
+    return [(i, j, (packed >> (len(ps) - 1 - b)) & 1 == 1) for b, (i, j) in enumerate(ps)]
+
+
 def tournament_from_canonical(n: int, packed: int) -> Tournament:
     """Inverse of the packing used by canonical_form (not re-canonicalized)."""
-    ps = _pairs(n)
-    total = len(ps)
     beats = [[False] * n for _ in range(n)]
-    for b, (i, j) in enumerate(ps):
-        if (packed >> (total - 1 - b)) & 1:
-            beats[i][j] = True
-        else:
-            beats[j][i] = True
+    for i, j, i_wins in _unpack(n, packed):
+        beats[i][j], beats[j][i] = i_wins, not i_wins
     return Tournament(n, beats)
 
 

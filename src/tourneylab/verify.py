@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 import mpmath
 
 from .construct import imbalanced_rps
-from .equilibrium import equilibrium_polytope, payoff_matrix
+from .equilibrium import equilibrium_polytope, packed_payoff_rows, payoff_matrix
 from .imbalance import Majorization, majorizes, nash_ties, uniform_profile, ui_variance
-from .rational import ParityClass, Vector, determinant, kernel_basis, parity, pfaffian
+from .rational import RationalMatrix, Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
     canonical_form,
     degree_profile,
@@ -50,9 +50,16 @@ class GuardBandError(RuntimeError):
 
 class _Deadline:
     def __init__(self, budget_secs: float | None):
+        source = "--budget"
         if budget_secs is None:
             raw = os.environ.get(BUDGET_ENV_VAR)
-            budget_secs = float(raw) if raw else None
+            source = BUDGET_ENV_VAR
+            try:
+                budget_secs = float(raw) if raw else None
+            except ValueError:
+                raise ValueError(f"{source}={raw!r} is not a number of seconds") from None
+        if budget_secs is not None and not (math.isfinite(budget_secs) and budget_secs >= 0):
+            raise ValueError(f"{source} must be a finite number of seconds >= 0, got {budget_secs}")
         self.expires = None if budget_secs is None else time.monotonic() + budget_secs
 
     def check(self) -> None:
@@ -103,34 +110,14 @@ class _ClassStats:
     equilibrium_sorted: Vector | None = None
 
 
-def _unique_positive_equilibrium(t) -> Vector | None:
-    """The totally mixed equilibrium of a tournament game, or None.
-
-    Works straight off the kernel: a kernel of dimension >= 2 cannot meet the
-    simplex (zeroing a coordinate of any simplex kernel point would hand a
-    nontrivial kernel to an even-order ±1 skew matrix, whose determinant is an
-    odd square), so only the one-dimensional case needs scaling.
-    """
-    basis = kernel_basis(payoff_matrix(t))
-    if len(basis) != 1:
-        return None
-    v = basis[0]
-    total = sum(v)
-    if total == 0:
-        return None
-    point = tuple(x / total for x in v)
-    if any(x <= 0 for x in point):
-        return None
-    return point
-
-
 def _class_stats(args: tuple[int, int]) -> _ClassStats:
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
     profile = uniform_profile(t)
     wins_sorted = tuple(sorted(degree_profile(t).e_in))
     strong = is_strong(t)
-    eq = _unique_positive_equilibrium(t)
+    P = equilibrium_polytope(payoff_matrix(t))
+    eq = P.vertices[0] if P.is_single_point and all(P.support_mask) else None
     if eq is None:
         return _ClassStats(packed, wins_sorted, False, strong)
     return _ClassStats(
@@ -504,7 +491,7 @@ class EvenUnplayabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _is_odd_square(x: Fraction) -> bool:
+def _is_odd_square(x: Fraction | int) -> bool:
     num, den = x.numerator, x.denominator
     if num <= 0:
         return False
@@ -512,22 +499,24 @@ def _is_odd_square(x: Fraction) -> bool:
     return a * a == num and b * b == den and a % 2 == 1 and b % 2 == 1
 
 
-def _even_batch(args: tuple[int, int, int]) -> tuple[int, list[int]]:
+def _even_checks(rows: list[list[int]]) -> tuple[bool, bool, bool]:
+    """(polytope empty, det an odd square, Pfaffian odd) for one even skew integer
+    matrix: rank and det from one Bareiss pass, the Pfaffian by its own expansion."""
+    pf = _pfaffian_expand(rows)
+    a, piv_cols, sign = _bareiss_echelon([row[:] for row in rows])
+    if len(piv_cols) == len(rows):
+        # full rank: trivial kernel, so no point of the simplex
+        empty, det = True, sign * a[-1][-1]
+    else:
+        empty, det = equilibrium_polytope(RationalMatrix(rows)).is_empty, 0
+    return empty, _is_odd_square(det), pf % 2 == 1
+
+
+def _even_batch(args: tuple[int, int, int]) -> tuple[int, list]:
+    """Games checked, and (mask, checks) for each game failing a check."""
     n, start, stop = args
-    failures: list[int] = []
-    count = 0
-    for mask in range(start, stop):
-        t = tournament_from_canonical(n, mask)
-        A = payoff_matrix(t)
-        ok = (
-            equilibrium_polytope(A).is_empty
-            and _is_odd_square(determinant(A))
-            and parity(pfaffian(A)) is ParityClass.ODD
-        )
-        count += 1
-        if not ok:
-            failures.append(mask)
-    return count, failures
+    checked = ((m, _even_checks(packed_payoff_rows(n, m))) for m in range(start, stop))
+    return stop - start, [(m, c) for m, c in checked if not all(c)]
 
 
 def verify_even_unplayable(
@@ -544,16 +533,15 @@ def verify_even_unplayable(
         step = max(total // max(jobs * 8, 1), 1)
         batches = [(n, s, min(s + step, total)) for s in range(0, total, step)]
         outs = _map_jobs(_even_batch, batches, jobs, deadline)
-        count = sum(c for c, _ in outs)
-        failures = sorted(f for _, fs in outs for f in fs)
+        failed = sorted(f for _, fs in outs for f in fs)
         results.append(
             EvenOrderResult(
                 n=n,
-                tournament_count=count,
-                all_polytopes_empty=not failures,
-                all_determinants_odd_squares=not failures,
-                all_pfaffians_odd=not failures,
-                failures=tuple(failures),
+                tournament_count=sum(c for c, _ in outs),
+                all_polytopes_empty=all(c[0] for _, c in failed),
+                all_determinants_odd_squares=all(c[1] for _, c in failed),
+                all_pfaffians_odd=all(c[2] for _, c in failed),
+                failures=tuple(mask for mask, _ in failed),
             )
         )
     return EvenUnplayabilityReport(max_n=max_n, results=tuple(results))
@@ -622,7 +610,8 @@ class StructuralLemmasReport:
 def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, bool, bool, Fraction | None]:
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
-    eq = _unique_positive_equilibrium(t)
+    P = equilibrium_polytope(payoff_matrix(t))
+    eq = P.vertices[0] if P.is_single_point and all(P.support_mask) else None
     strong = is_strong(t)
     landau = landau_bound_check(t)
     m = (objects - 1) // 2

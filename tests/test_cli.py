@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from tourneylab import canonical_form, imbalanced_rps, parse_edge_list
-from tourneylab.cli import main
+from tourneylab.cli import _jobs_arg, main
 
 WELL_EDGES = """\
 4
@@ -280,6 +280,47 @@ def test_verify_budget_exceeded_exit_3(tmp_path, capsys):
     assert code == 3 and "budget exceeded" in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
+    code, _, err = run_cli(
+        ["verify", "theorem", "--n", "2", "--budget", budget, "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: --budget")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "theorem", "--n", "5"],
+        ["verify", "even", "--max-n", "8"],
+        ["verify", "structural", "--objects", "4"],
+    ],
+)
+def test_verify_out_of_range_exit_1(tmp_path, capsys, args):
+    code, _, err = run_cli(args + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exit_1(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "even", "--max-n", "2", "--jobs", jobs, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _jobs_arg("1") == 1
+    assert _jobs_arg("2") == 2
+    assert _jobs_arg("64") == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _jobs_arg("8") == 1
+
+
 def test_analyze_generate_round_trip(tmp_path, capsys):
     path = _write_generated(tmp_path, capsys, "imb3.edges", "imbalanced", "--n", "3")
     code, out, _ = run_cli(["analyze", str(path)], capsys)
@@ -337,3 +378,25 @@ def test_budget_env_var(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "budget exceeded" in proc.stderr
+
+
+def test_bad_budget_env_var_exit_1(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "tourneylab.cli",
+            "verify",
+            "theorem",
+            "--n",
+            "2",
+            "--out-dir",
+            str(tmp_path / "reports"),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "TOURNEYLAB_BUDGET_SECS": "abc"},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: TOURNEYLAB_BUDGET_SECS")
+    assert "Traceback" not in proc.stderr

@@ -13,6 +13,7 @@ from tourneylab import (
     verify_structural_lemmas,
     verify_theorem,
 )
+from tourneylab.verify import _even_checks
 
 F = Fraction
 
@@ -136,3 +137,42 @@ def test_compare_entropies_guard_band_escalates():
     y = [F(1, 2), F(1, 8), F(1, 8), F(1, 8), F(1, 8)]
     with pytest.raises(GuardBandError):
         compare_entropies(x, y)
+
+
+def test_even_checks_are_independent():
+    # full rank, so the polytope is empty; det 4 and Pf 2 are even
+    assert _even_checks([[0, 2], [-2, 0]]) == (True, False, False)
+    # rank 0: every point of the simplex is in the kernel; det = Pf = 0
+    assert _even_checks([[0, 0], [0, 0]]) == (False, False, False)
+    assert _even_checks([[0, 1], [-1, 0]]) == (True, True, True)
+
+
+def test_even_checks_leave_their_input_alone():
+    rows = [[0, 1, 1, -1], [-1, 0, 1, 1], [-1, -1, 0, 1], [1, -1, -1, 0]]
+    before = [row[:] for row in rows]
+    assert _even_checks(rows) == (True, True, True)
+    assert rows == before
+
+
+def test_budget_env_var_validation(monkeypatch):
+    for bad in ("abc", "nan", "-5"):
+        monkeypatch.setenv("TOURNEYLAB_BUDGET_SECS", bad)
+        with pytest.raises(ValueError, match="TOURNEYLAB_BUDGET_SECS"):
+            verify_even_unplayable(2)
+    monkeypatch.setenv("TOURNEYLAB_BUDGET_SECS", "")
+    assert verify_even_unplayable(2).ok
+
+
+def test_even_report_flags_follow_their_own_checks(monkeypatch):
+    import tourneylab.verify as verify
+
+    # pretend only the determinant check fails, and only when 1 loses to 0
+    monkeypatch.setattr(verify, "_even_checks", lambda rows: (True, rows[0][1] == 1, True))
+    rep = verify_even_unplayable(4)
+    assert not rep.ok
+    for r in rep.results:
+        flags = (r.all_polytopes_empty, r.all_determinants_odd_squares, r.all_pfaffians_odd)
+        assert flags == (True, False, True)
+        # the pair (0, 1) is the most significant bit of the mask
+        top = 1 << (r.n * (r.n - 1) // 2 - 1)
+        assert r.failures == tuple(range(top))
