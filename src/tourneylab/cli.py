@@ -11,10 +11,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .construct import (
     blow_up,
@@ -35,6 +36,10 @@ from .tournament import (
 )
 from .verify import (
     BudgetExceededError,
+    _even_bounds,
+    _structural_bounds,
+    _theorem_bounds,
+    _worker_count,
     verify_even_unplayable,
     verify_structural_lemmas,
     verify_theorem,
@@ -291,28 +296,22 @@ def _cmd_blowup(args) -> int:
 def _cmd_verify(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs: list[tuple[str, object]] = []
+    # every selected suite's size bound is checked before the first one runs
+    suites: list[tuple[str, Callable[[], object]]] = []
+    opts = {"jobs": args.jobs, "budget_secs": args.budget}
     try:
         if args.suite in ("theorem", "all"):
-            runs.append(
+            _theorem_bounds(args.n, args.allow_large)
+            suites.append(
                 (
                     f"theorem_n{args.n}",
-                    verify_theorem(
-                        args.n,
-                        allow_large=args.allow_large,
-                        jobs=args.jobs,
-                        budget_secs=args.budget,
-                    ),
+                    partial(verify_theorem, args.n, allow_large=args.allow_large, **opts),
                 )
             )
         if args.suite in ("even", "all"):
-            runs.append(
-                (
-                    f"even_maxn{args.max_n}",
-                    verify_even_unplayable(
-                        args.max_n, jobs=args.jobs, budget_secs=args.budget
-                    ),
-                )
+            _even_bounds(args.max_n)
+            suites.append(
+                (f"even_maxn{args.max_n}", partial(verify_even_unplayable, args.max_n, **opts))
             )
         if args.suite in ("structural", "all"):
             sizes = (
@@ -321,14 +320,11 @@ def _cmd_verify(args) -> int:
                 else [m for m in (3, 5, 7) if m <= 2 * args.n + 1]
             )
             for m in sizes:
-                runs.append(
-                    (
-                        f"structural_n{m}",
-                        verify_structural_lemmas(
-                            m, jobs=args.jobs, budget_secs=args.budget
-                        ),
-                    )
+                _structural_bounds(m)
+                suites.append(
+                    (f"structural_n{m}", partial(verify_structural_lemmas, m, **opts))
                 )
+        runs = [(name, run()) for name, run in suites]
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -361,9 +357,10 @@ def _jobs_arg(text: str) -> int:
         jobs = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    try:
+        return _worker_count(jobs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

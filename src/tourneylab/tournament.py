@@ -233,45 +233,70 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _packed(t_beats: Sequence[Sequence[bool]], perm: Sequence[int], n: int) -> int:
-    # row-major upper triangle, row 0 most significant
-    m = 0
-    for i in range(n):
-        bi = t_beats[perm[i]]
-        for j in range(i + 1, n):
-            m = (m << 1) | (1 if bi[perm[j]] else 0)
-    return m
-
-
 def canonical_form(t: Tournament) -> int:
     """Lexicographically minimal upper-triangle bit string over all relabelings.
 
-    The string's row 0 is forced: the first vertex must have minimal wins with
-    its defeaters listed before the vertices it beats, which prunes the
-    permutation search to (losses)! * (wins)! orderings per candidate.
+    Exact branch-and-bound over ordered cells (the ordered-partition
+    refinement of McKay & Piperno 2014, cut down to this lexmin value). After
+    positions 0..k-1 are placed, the remaining vertices form an ordered list of
+    cells, each uniform against every placed vertex; the cell order is what
+    made rows 0..k-1 minimal, so position k must come from the first cell.
+    Candidate v's row k is then, cell by cell, zeros for the members that beat
+    v and ones for those it beats. Only the candidates with the smallest row
+    survive; each splits every cell into (beats v, beaten by v) and recurses.
+    The search branches only on ties, and drops a branch whose prefix,
+    shifted past the bits still to come, already exceeds the best leaf.
     """
     n = t.n
-    if n == 1:
-        return 0
-    wins = [t.wins(i) for i in range(n)]
-    wmin = min(wins)
-    best: int | None = None
-    for v0 in range(n):
-        if wins[v0] != wmin:
-            continue
-        defeaters = [u for u in range(n) if u != v0 and t.beats[u][v0]]
-        beaten = [u for u in range(n) if t.beats[v0][u]]
-        for pd in itertools.permutations(defeaters):
-            for pb in itertools.permutations(beaten):
-                m = _packed(t.beats, (v0,) + pd + pb, n)
-                if best is None or m < best:
-                    best = m
-    assert best is not None
+    # win[v] has bit u set iff v beats u
+    win = [sum(1 << u for u in range(n) if row[u]) for row in t.beats]
+    best = -1
+
+    def search(cells: list[int], prefix: int, r: int) -> None:
+        # cells partition the r unplaced vertices; prefix packs rows 0..n-r-1
+        nonlocal best
+        if r == 1:
+            if best < 0 or prefix < best:
+                best = prefix
+            return
+        first, rest = cells[0], cells[1:]
+        low_row = -1
+        ties: list[int] = []
+        pending = first
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            v = bit.bit_length() - 1
+            w = win[v]
+            row = 0
+            for c in (first ^ bit, *rest):
+                row = (row << c.bit_count()) | ((1 << (c & w).bit_count()) - 1)
+            if low_row < 0 or row < low_row:
+                low_row, ties = row, [v]
+            elif row == low_row:
+                ties.append(v)
+        r -= 1
+        prefix = (prefix << r) | low_row
+        if best >= 0 and prefix << (r * (r - 1) // 2) > best:
+            return
+        for v in ties:
+            w = win[v]
+            split = []
+            for c in (first ^ (1 << v), *rest):
+                lose, beat = c & ~w, c & w
+                if lose:
+                    split.append(lose)
+                if beat:
+                    split.append(beat)
+            search(split, prefix, r)
+
+    search([(1 << n) - 1], 0, n)
     return best
 
 
 def _unpack(n: int, packed: int) -> list[tuple[int, int, bool]]:
-    """(i, j, whether i beats j) for each pair i < j, in the bit order of _packed."""
+    """(i, j, whether i beats j) for each pair i < j: the row-major upper
+    triangle, row 0 most significant, as canonical_form packs it."""
     ps = _pairs(n)
     return [(i, j, (packed >> (len(ps) - 1 - b)) & 1 == 1) for b, (i, j) in enumerate(ps)]
 

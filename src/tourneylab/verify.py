@@ -67,6 +67,13 @@ class _Deadline:
             raise BudgetExceededError("verification time budget exceeded")
 
 
+def _worker_count(jobs: int) -> int:
+    """Worker processes for a `jobs` request: at least 1, at most the CPU count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _entropy_bits(masses: Sequence[Fraction]) -> mpmath.mpf:
     with mpmath.workprec(ENTROPY_PRECISION_BITS):
         total = mpmath.mpf(0)
@@ -278,6 +285,15 @@ def _tally_markdown(name: str, t: MajorizationTally) -> str:
     return base
 
 
+def _theorem_bounds(n: int, allow_large: bool) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > 4:
+        raise ValueError("theorem verification is bounded at 9 objects")
+    if n == 4 and not allow_large:
+        raise ValueError("9-object verification is opt-in; pass allow_large (--allow-large)")
+
+
 def verify_theorem(
     n: int,
     allow_large: bool = False,
@@ -292,14 +308,8 @@ def verify_theorem(
     construction's win and equilibrium sequences. n <= 3 by default; n = 4
     (9 objects) only with allow_large, and subject to the budget.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > 4:
-        raise ValueError("theorem verification is bounded at 9 objects")
-    if n == 4 and not allow_large:
-        raise BudgetExceededError(
-            "9-object verification exceeds the default budget; pass allow_large"
-        )
+    _theorem_bounds(n, allow_large)
+    jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
     packed_classes = list(_iso_classes(objects, _check=deadline.check))
@@ -519,18 +529,25 @@ def _even_batch(args: tuple[int, int, int]) -> tuple[int, list]:
     return stop - start, [(m, c) for m, c in checked if not all(c)]
 
 
+def _even_bounds(max_n: int) -> None:
+    if max_n < 2:
+        raise ValueError("even-order exhaustion needs max_n >= 2")
+    if max_n > 6:
+        raise ValueError("even-order exhaustion is bounded at 6 objects")
+
+
 def verify_even_unplayable(
     max_n: int, jobs: int = 1, budget_secs: float | None = None
 ) -> EvenUnplayabilityReport:
     """Every labeled even tournament up to max_n: empty kernel polytope,
     determinant an odd square, Pfaffian odd."""
-    if max_n > 6:
-        raise ValueError("even-order exhaustion is bounded at 6 objects")
+    _even_bounds(max_n)
+    jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     results = []
     for n in range(2, max_n + 1, 2):
         total = 1 << (n * (n - 1) // 2)
-        step = max(total // max(jobs * 8, 1), 1)
+        step = max(total // (jobs * 8), 1)
         batches = [(n, s, min(s + step, total)) for s in range(0, total, step)]
         outs = _map_jobs(_even_batch, batches, jobs, deadline)
         failed = sorted(f for _, fs in outs for f in fs)
@@ -620,14 +637,19 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, bool, boo
     return packed, eq is not None, strong, landau, kmin_all, max_prob
 
 
+def _structural_bounds(n: int) -> None:
+    if n < 1 or n % 2 == 0 or n > 7:
+        raise ValueError("structural verification runs on odd 1 <= n <= 7")
+
+
 def verify_structural_lemmas(
     n: int, jobs: int = 1, budget_secs: float | None = None
 ) -> StructuralLemmasReport:
     """Playable classes must meet the degree-prefix bounds, every k-minimizing
     condition, and the 1/3 probability cap; classes failing the k-minimizing
     condition must be unplayable."""
-    if n % 2 == 0 or n > 7:
-        raise ValueError("structural verification runs on odd n <= 7")
+    _structural_bounds(n)
+    jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     packed_classes = list(_iso_classes(n, _check=deadline.check))
     rows = _map_jobs(

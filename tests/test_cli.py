@@ -296,12 +296,28 @@ def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
         ["verify", "theorem", "--n", "5"],
         ["verify", "even", "--max-n", "8"],
         ["verify", "structural", "--objects", "4"],
+        ["verify", "theorem", "--n", "4"],
+        ["verify", "even", "--max-n", "0"],
+        ["verify", "structural", "--objects", "-1"],
     ],
 )
 def test_verify_out_of_range_exit_1(tmp_path, capsys, args):
     code, _, err = run_cli(args + ["--out-dir", str(tmp_path)], capsys)
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_all_checks_every_bound_first(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the theorem sweep started before the bounds were checked")
+
+    monkeypatch.setattr("tourneylab.cli.verify_theorem", never)
+    code, out, err = run_cli(
+        ["verify", "all", "--n", "3", "--max-n", "8", "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: even-order exhaustion is bounded")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

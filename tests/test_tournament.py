@@ -1,7 +1,11 @@
 import itertools
+import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourneylab import (
     EdgeListParseError,
@@ -16,11 +20,14 @@ from tourneylab import (
     landau_bound_check,
     parse_edge_list,
 )
-from tourneylab.construct import imbalanced_rps
+from tourneylab.construct import classic_cycle, imbalanced_rps
+from tourneylab.tournament import tournament_from_canonical
 from tests.conftest import make_transitive
 
-# published counts of tournaments up to isomorphism, n = 1..7
-CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
+# published counts of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
+CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
+# published counts of strong tournaments up to isomorphism, n = 1..7 (OEIS A051337)
+STRONG_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353}
 
 
 def brute_canonical(t: Tournament) -> int:
@@ -148,6 +155,30 @@ def test_enumerate_iso_counts(n):
     assert sum(1 for _ in enumerate_tournaments(n, up_to_iso=True)) == CLASS_COUNTS[n]
 
 
+@pytest.mark.parametrize("n", sorted(STRONG_COUNTS))
+def test_enumerate_strong_counts(n):
+    strong = sum(1 for t in enumerate_tournaments(n, up_to_iso=True) if is_strong(t))
+    assert strong == STRONG_COUNTS[n]
+
+
+def automorphism_count(t: Tournament) -> int:
+    return sum(
+        1
+        for perm in itertools.permutations(range(t.n))
+        if all(t.beats[perm[i]][perm[j]] == t.beats[i][j] for i, j in t.edges())
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_iso_classes_satisfy_orbit_stabilizer(n):
+    # each class holds n!/|Aut T| labeled games, and together they hold all of them
+    orbits = sum(
+        math.factorial(n) // automorphism_count(t)
+        for t in enumerate_tournaments(n, up_to_iso=True)
+    )
+    assert orbits == 2 ** (n * (n - 1) // 2)
+
+
 def test_enumerate_deterministic():
     a = [t.beats for t in enumerate_tournaments(5, up_to_iso=True)]
     b = [t.beats for t in enumerate_tournaments(5, up_to_iso=True)]
@@ -176,6 +207,61 @@ def test_canonical_form_matches_brute_force():
             assert canonical_form(t) == brute_canonical(t)
 
 
+def test_canonical_form_matches_brute_force_at_seven():
+    rng = random.Random(7)
+    for _ in range(20):
+        t = tournament_from_canonical(7, rng.getrandbits(21))
+        assert canonical_form(t) == brute_canonical(t)
+
+
+def relabeled(t: Tournament, perm) -> Tournament:
+    return Tournament(t.n, [[t.beats[perm[i]][perm[j]] for j in range(t.n)] for i in range(t.n)])
+
+
+def digraph(t: Tournament) -> nx.DiGraph:
+    g = nx.DiGraph(t.edges())
+    g.add_nodes_from(range(t.n))
+    return g
+
+
+@st.composite
+def game_pairs(draw):
+    """A game, and a relabeling of it with at most one edge reversed first."""
+    n = draw(st.integers(min_value=7, max_value=9))
+    bits = n * (n - 1) // 2
+    mask = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+    flip = draw(st.one_of(st.just(0), st.integers(0, bits - 1).map(lambda b: 1 << b)))
+    perm = draw(st.permutations(range(n)))
+    a = tournament_from_canonical(n, mask)
+    return a, relabeled(tournament_from_canonical(n, mask ^ flip), perm), perm
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(game_pairs())
+def test_canonical_form_decides_isomorphism(pair):
+    a, b, perm = pair
+    assert canonical_form(relabeled(a, perm)) == canonical_form(a)
+    same = canonical_form(a) == canonical_form(b)
+    assert same == nx.is_isomorphic(digraph(a), digraph(b))
+
+
+@pytest.mark.parametrize(
+    "t, form",
+    # forms computed by the exhaustive per-vertex permutation search this
+    # search replaced; these inputs have the most ties, so the most branching
+    [(classic_cycle(9), 4041311232), (imbalanced_rps(4), 272769024)],
+    ids=["rotational-9-cycle", "imbalanced-9"],
+)
+def test_canonical_form_symmetric_inputs(t, form):
+    assert canonical_form(t) == form
+    assert nx.is_isomorphic(digraph(tournament_from_canonical(t.n, form)), digraph(t))
+    rng = random.Random(9)
+    for _ in range(5):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        assert canonical_form(relabeled(t, perm)) == form
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = random.Random(11)
     t = imbalanced_rps(3)
@@ -183,8 +269,7 @@ def test_canonical_form_is_isomorphism_invariant():
     for _ in range(10):
         perm = list(range(t.n))
         rng.shuffle(perm)
-        beats = [[t.beats[perm[i]][perm[j]] for j in range(t.n)] for i in range(t.n)]
-        assert canonical_form(Tournament(t.n, beats)) == base
+        assert canonical_form(relabeled(t, perm)) == base
 
 
 def test_iso_classes_are_mutually_non_isomorphic():

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from tourneylab import (
     verify_structural_lemmas,
     verify_theorem,
 )
-from tourneylab.verify import _even_checks
+from tourneylab.verify import _even_checks, _worker_count
 
 F = Fraction
 
@@ -56,12 +57,26 @@ def test_theorem_jobs_parallel_matches_serial():
 
 
 def test_theorem_large_requires_opt_in():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError):
         verify_theorem(4)
     with pytest.raises(ValueError):
         verify_theorem(5, allow_large=True)
     with pytest.raises(ValueError):
         verify_theorem(0)
+
+
+def test_jobs_rejected_below_one_and_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            _worker_count(jobs)
+        for verify in (verify_theorem, verify_even_unplayable, verify_structural_lemmas):
+            with pytest.raises(ValueError, match="at least 1"):
+                verify(3, jobs=jobs)
+    assert _worker_count(1) == 1
+    assert _worker_count(64) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8) == 1
 
 
 def test_theorem_budget_zero_trips():
