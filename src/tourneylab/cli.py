@@ -28,6 +28,7 @@ from .imbalance import imbalance_report
 from .tournament import (
     EdgeListParseError,
     Tournament,
+    _k_limit,
     degree_profile,
     format_edge_list,
     k_minimizing_check,
@@ -128,11 +129,8 @@ def build_analysis(t: Tournament, alpha: Fraction = Fraction(1, 2)) -> dict:
     """Full analysis document for one tournament (JSON-ready)."""
     profile = degree_profile(t)
     report = classify_playability(t)
-    imb = imbalance_report(t, alpha) if t.n >= 2 else None
-    kmin = []
-    limit = (t.n + 1) // 2 if t.n % 2 else t.n // 2
-    for k in range(1, limit + 1):
-        kmin.append({"k": k, "ok": k_minimizing_check(t, k)})
+    imb = imbalance_report(t, alpha, report) if t.n >= 2 else None
+    kmin = [{"k": k, "ok": k_minimizing_check(t, k)} for k in range(1, _k_limit(t.n) + 1)]
     doc: dict = {
         "schema": 1,
         "input": {
@@ -238,10 +236,7 @@ def _cmd_analyze(args) -> int:
     else:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    playable = doc["playability"]["class"] in (
-        Playability.PLAYABLE.value,
-        Playability.STRONGLY_PLAYABLE.value,
-    )
+    playable = doc["playability"]["class"] == Playability.STRONGLY_PLAYABLE.value
     return EXIT_OK if playable else EXIT_UNPLAYABLE
 
 

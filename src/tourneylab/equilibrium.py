@@ -11,44 +11,61 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
+from .rational import RationalMatrix, Vector, _bareiss_echelon, kernel_basis, solve_affine
 from .tournament import Tournament, _unpack, is_strong
 
 SUPPORT_ENUM_LIMIT = 8
 
 
+def payoff_rows(t: Tournament) -> list[list[int]]:
+    """Integer rows of the payoff matrix: +1 iff i defeats j, -1 iff j defeats i."""
+    return [
+        [1 if won else (-1 if i != j else 0) for j, won in enumerate(row)]
+        for i, row in enumerate(t.beats)
+    ]
+
+
 def payoff_matrix(t: Tournament) -> RationalMatrix:
     """Skew-symmetric matrix with A[i][j] = +1 iff i defeats j."""
-    n = t.n
-    one = Fraction(1)
-    return RationalMatrix(
-        [
-            [one if t.beats[i][j] else (-one if i != j else Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    return RationalMatrix(payoff_rows(t))
 
 
 def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
-    """Integer rows of payoff_matrix(tournament_from_canonical(n, packed)),
-    built straight from the packed mask."""
+    """payoff_rows(tournament_from_canonical(n, packed)), built straight from
+    the packed mask."""
     rows = [[0] * n for _ in range(n)]
     for i, j, i_wins in _unpack(n, packed):
         rows[i][j], rows[j][i] = (1, -1) if i_wins else (-1, 1)
     return rows
 
 
-def assert_probability_vector(v: Sequence[Fraction]) -> Vector:
-    vec = tuple(Fraction(x) for x in v)
-    if any(x < 0 for x in vec):
-        raise ValueError("probability vector entries must be >= 0")
-    if sum(vec) != 1:
-        raise ValueError("probability vector entries must sum to 1")
-    return vec
+def tournament_equilibrium(rows: list[list[int]]) -> Vector | None:
+    """The totally mixed equilibrium of a tournament game from its integer
+    payoff rows, or None, by one Bareiss elimination. The rank is asserted to
+    be n - (n mod 2): an odd game's kernel is spanned by its signed principal
+    sub-Pfaffians, all odd. With the free entry set to the last pivot (the
+    pivot block's determinant), Cramer's rule makes the back-substituted kernel
+    vector integral, so every division is exact."""
+    n = len(rows)
+    a, piv_cols, _ = _bareiss_echelon([row[:] for row in rows])
+    assert len(piv_cols) == n - n % 2, f"rank {len(piv_cols)} for {n} objects"
+    if n % 2 == 0:
+        return None
+    (free,) = set(range(n)).difference(piv_cols)
+    x = [0] * n
+    x[free] = a[n - 2][piv_cols[-1]] if piv_cols else 1
+    for r in range(n - 2, -1, -1):
+        pc = piv_cols[r]
+        x[pc] = -sum(a[r][j] * x[j] for j in range(pc + 1, n)) // a[r][pc]
+    if not (min(x) > 0 or max(x) < 0):
+        return None
+    total = sum(x)
+    return tuple(Fraction(v, total) for v in x)
 
 
 @dataclass(frozen=True)
@@ -136,8 +153,6 @@ def equilibrium_polytope(A: RationalMatrix) -> EquilibriumPolytope:
 
 class Playability(Enum):
     UNPLAYABLE = "unplayable"
-    WEAKLY_PLAYABLE_ONLY = "weakly_playable_only"
-    PLAYABLE = "playable"
     STRONGLY_PLAYABLE = "strongly_playable"
 
 
@@ -146,52 +161,40 @@ class PlayabilityReport:
     """Classification plus witness data and the strong-connectivity cross-check."""
 
     playability: Playability
-    polytope: EquilibriumPolytope
+    tournament: Tournament
     is_strong: bool
     equilibrium: Vector | None = None
     dominating_pair: tuple[int, int] | None = None  # (dominated, dominator)
-    zero_probability_object: int | None = None
+
+    @cached_property
+    def polytope(self) -> EquilibriumPolytope:
+        """ker(A) ∩ simplex, built on first use: a tournament's kernel is trivial
+        or one line, so the polytope is the equilibrium or empty."""
+        A = payoff_matrix(self.tournament)
+        if self.equilibrium is None:
+            return _empty_polytope(A, A.cols % 2)
+        return _from_vertices(A, 1, [self.equilibrium])
 
     def witness_text(self, labels: Sequence[str]) -> str:
         if self.dominating_pair is not None:
             a, b = self.dominating_pair
             return f"{labels[b]} weakly dominates {labels[a]}"
-        if self.zero_probability_object is not None:
-            return (
-                f"{labels[self.zero_probability_object]} has zero probability "
-                "in every equilibrium"
-            )
         if self.equilibrium is not None:
             return "unique totally mixed equilibrium"
         return "no equilibrium plays every object (empty kernel polytope)"
 
 
 def classify_playability(t: Tournament) -> PlayabilityReport:
-    """Classify per the kernel polytope; odd tournaments are Unplayable or
-    StronglyPlayable and the report carries the is_strong cross-check."""
-    A = payoff_matrix(t)
-    P = equilibrium_polytope(A)
+    """StronglyPlayable iff the game has a totally mixed equilibrium, which is
+    then unique; otherwise Unplayable, with a weakly dominated object as the
+    witness when there is one. The report carries the is_strong cross-check."""
+    rows = payoff_rows(t)
+    point = tournament_equilibrium(rows)
     strong = is_strong(t)
-    if P.is_empty:
-        dominated = find_dominated(t, mode="weak", against="pure")
-        pair = (dominated[0][0], dominated[0][1]) if dominated else None
-        return PlayabilityReport(
-            Playability.UNPLAYABLE, P, strong, dominating_pair=pair
-        )
-    if not all(P.support_mask):
-        zero_obj = P.support_mask.index(False)
-        return PlayabilityReport(
-            Playability.UNPLAYABLE, P, strong, zero_probability_object=zero_obj
-        )
-    if P.is_single_point:
-        return PlayabilityReport(
-            Playability.STRONGLY_PLAYABLE, P, strong, equilibrium=P.vertices[0]
-        )
-    # every object sees play at the interior point, but some equilibrium does
-    # not play everything (a multi-vertex polytope always has boundary vertices)
-    return PlayabilityReport(
-        Playability.PLAYABLE, P, strong, equilibrium=P.interior_point
-    )
+    if point is None:
+        pair = next(_pure_dominated(rows, "weak"), None)
+        return PlayabilityReport(Playability.UNPLAYABLE, t, strong, dominating_pair=pair)
+    return PlayabilityReport(Playability.STRONGLY_PLAYABLE, t, strong, equilibrium=point)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +286,22 @@ def _mixed_dominator(t: Tournament, i: int, mode: str) -> Vector | None:
     return tuple(full)
 
 
+def _pure_dominated(rows: list[list[int]], mode: str) -> Iterator[tuple[int, int]]:
+    """(dominated, first dominator) for each row that another row dominates,
+    as find_dominated's pure mode defines it."""
+    for i, row_i in enumerate(rows):
+        for k, row_k in enumerate(rows):
+            if k == i:
+                continue
+            if mode == "weak":
+                hit = row_k != row_i and all(a >= b for a, b in zip(row_k, row_i))
+            else:
+                hit = all(a > b for a, b in zip(row_k, row_i))
+            if hit:
+                yield i, k
+                break
+
+
 def find_dominated(
     t: Tournament, mode: str = "weak", against: str = "pure"
 ) -> list[tuple[int, int | Vector]]:
@@ -298,29 +317,10 @@ def find_dominated(
         raise ValueError("mode must be 'weak' or 'strict'")
     if against not in ("pure", "mixed"):
         raise ValueError("against must be 'pure' or 'mixed'")
-    A = payoff_matrix(t)
-    n = t.n
-    out: list[tuple[int, int | Vector]] = []
-    for i in range(n):
-        if against == "pure":
-            row_i = A.entries[i]
-            for k in range(n):
-                if k == i:
-                    continue
-                row_k = A.entries[k]
-                if mode == "weak":
-                    if all(a >= b for a, b in zip(row_k, row_i)) and row_k != row_i:
-                        out.append((i, k))
-                        break
-                else:
-                    if all(a > b for a, b in zip(row_k, row_i)):
-                        out.append((i, k))
-                        break
-        else:
-            w = _mixed_dominator(t, i, mode)
-            if w is not None:
-                out.append((i, w))
-    return out
+    if against == "pure":
+        return list(_pure_dominated(payoff_rows(t), mode))
+    mixed = ((i, _mixed_dominator(t, i, mode)) for i in range(t.n))
+    return [(i, w) for i, w in mixed if w is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Combinatorial statistics (variance, entropy, Theil index of the uniform
 expected payoffs) depend only on the degree profile; the Nash statistics
-(expected ties, equilibrium entropy) are evaluated at a worst-case equilibrium
-chosen from the kernel polytope.
+(expected ties, equilibrium entropy) are evaluated at the game's equilibrium,
+which for a tournament is unique when it exists.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .equilibrium import equilibrium_polytope, payoff_matrix, worst_case_equilibrium
+from .equilibrium import PlayabilityReport, payoff_rows, tournament_equilibrium
 from .rational import Vector
 from .tournament import Tournament, degree_profile
 
@@ -237,20 +237,20 @@ class ImbalanceReport:
 
 
 def imbalance_report(
-    t: Tournament, alpha: Fraction = Fraction(1, 2)
+    t: Tournament,
+    alpha: Fraction = Fraction(1, 2),
+    playability: PlayabilityReport | None = None,
 ) -> ImbalanceReport:
-    """Assemble every statistic; Nash statistics are None for unplayable games."""
+    """Assemble every statistic; Nash statistics are None for unplayable games.
+    `playability`, classify_playability(t) if given, supplies the equilibrium."""
     profile = uniform_profile(t)
     e_in_sorted = tuple(sorted(degree_profile(t).e_in, reverse=True))
-    polytope = equilibrium_polytope(payoff_matrix(t))
-    n_t = n_e = None
-    probs = None
-    if not polytope.is_empty:
-        tie_min, _ = worst_case_equilibrium(polytope, "min_ties")
-        n_t = nash_ties(tie_min)
-        ent_max, _ = worst_case_equilibrium(polytope, "max_entropy")
-        n_e = nash_entropy(ent_max)
-        probs = tuple(sorted(tie_min, reverse=True))
+    eq = playability.equilibrium if playability else tournament_equilibrium(payoff_rows(t))
+    n_t = n_e = probs = None
+    if eq is not None:
+        n_t = nash_ties(eq)
+        n_e = nash_entropy(eq)
+        probs = tuple(sorted(eq, reverse=True))
     return ImbalanceReport(
         ui_v=ui_variance(profile),
         ui_e=ui_entropy(profile),

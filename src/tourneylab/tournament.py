@@ -8,7 +8,6 @@ winner). e_out[i] therefore counts i's losses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -377,26 +376,29 @@ def k_minimizing_check(t: Tournament, k: int) -> bool:
 
     Passes iff every tie-break choice of the k-minimizing set M satisfies:
     each member of M is beaten by some object outside M, or the objects
-    beating members of M are exactly the complement of M.
+    beating members of M are exactly the complement of M, which must be
+    nonempty (so the 1-object game fails).
+
+    A choice M fails iff a member b has all its beaters in M and some outsider
+    o loses to every member. With F the forced members and T the tied ones, any
+    M of size k between R = F | {b} | beaters(b) and U = beaters(o) & (F | T)
+    is such a choice, so a pair (b, o) with R <= U and |R| <= k <= |U| decides
+    it: O(n^3) instead of a walk over every tie-break.
     """
     n = t.n
     if not 1 <= k <= _k_limit(n):
         raise ValueError(f"k={k} out of range for n={n}")
+    if k == n:
+        return False  # no object lies outside M
     losses = degree_profile(t).e_out
-    order = sorted(range(n), key=lambda i: (losses[i], i))
-    threshold = losses[order[k - 1]]
-    fixed = [i for i in order[:k] if losses[i] < threshold]
-    tied = [i for i in range(n) if losses[i] == threshold]
-    need = k - len(fixed)
-    for choice in itertools.combinations(tied, need):
-        members = set(fixed) | set(choice)
-        outside = [o for o in range(n) if o not in members]
-        each_beaten_outside = all(
-            any(t.beats[o][b] for o in outside) for b in members
-        )
-        beating = {o for o in outside if any(t.beats[o][b] for b in members)}
-        whole_rest_beats = bool(outside) and set(outside) == beating
-        if not (each_beaten_outside or whole_rest_beats):
+    threshold = sorted(losses)[k - 1]
+    forced = sum(1 << i for i, x in enumerate(losses) if x < threshold)
+    pool = forced | sum(1 << i for i, x in enumerate(losses) if x == threshold)
+    beaters = [sum(1 << o for o, won in enumerate(col) if won) for col in zip(*t.beats)]
+    wide = [u for u in (m & pool for m in beaters) if u.bit_count() >= k]
+    for b in range(n):
+        r = forced | 1 << b | beaters[b]
+        if r.bit_count() <= k and any(r & ~u == 0 for u in wide):
             return False
     return True
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from .construct import imbalanced_rps
-from .equilibrium import equilibrium_polytope, packed_payoff_rows, payoff_matrix
+from .equilibrium import equilibrium_polytope, packed_payoff_rows, tournament_equilibrium
 from .imbalance import Majorization, majorizes, nash_ties, uniform_profile, ui_variance
 from .rational import RationalMatrix, Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
@@ -123,8 +123,7 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats:
     profile = uniform_profile(t)
     wins_sorted = tuple(sorted(degree_profile(t).e_in))
     strong = is_strong(t)
-    P = equilibrium_polytope(payoff_matrix(t))
-    eq = P.vertices[0] if P.is_single_point and all(P.support_mask) else None
+    eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
     if eq is None:
         return _ClassStats(packed, wins_sorted, False, strong)
     return _ClassStats(
@@ -627,8 +626,7 @@ class StructuralLemmasReport:
 def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, bool, bool, Fraction | None]:
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
-    P = equilibrium_polytope(payoff_matrix(t))
-    eq = P.vertices[0] if P.is_single_point and all(P.support_mask) else None
+    eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
     strong = is_strong(t)
     landau = landau_bound_check(t)
     m = (objects - 1) // 2
@@ -638,8 +636,8 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, bool, boo
 
 
 def _structural_bounds(n: int) -> None:
-    if n < 1 or n % 2 == 0 or n > 7:
-        raise ValueError("structural verification runs on odd 1 <= n <= 7")
+    if n < 3 or n % 2 == 0 or n > 7:
+        raise ValueError("structural verification runs on odd 3 <= n <= 7")
 
 
 def verify_structural_lemmas(

@@ -299,6 +299,7 @@ def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
         ["verify", "theorem", "--n", "4"],
         ["verify", "even", "--max-n", "0"],
         ["verify", "structural", "--objects", "-1"],
+        ["verify", "structural", "--objects", "1"],
     ],
 )
 def test_verify_out_of_range_exit_1(tmp_path, capsys, args):
@@ -351,6 +352,19 @@ def test_analyze_generate_round_trip(tmp_path, capsys):
         "1/27",
         "1/27",
     ]
+
+
+def test_analyze_regular_25_cycle(tmp_path, capsys):
+    # every object ties on losses, so each k-minimizing set has C(25, k) choices
+    path = _write_generated(tmp_path, capsys, "cycle25.edges", "classic-cycle", "--n", "25")
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["playability"]["class"] == "strongly_playable"
+    assert doc["equilibrium"]["exact"] == ["1/25"] * 25
+    kmin = doc["structural"]["k_minimizing"]
+    assert [e["k"] for e in kmin] == list(range(1, 14))
+    assert all(e["ok"] is True for e in kmin)
 
 
 def test_usage_errors_exit_1():

@@ -168,11 +168,11 @@ def test_playable_implies_strong_up_to_7_objects():
             )
 
 
-def test_weakly_playable_only_is_unreachable():
-    for n in (1, 2, 3, 4, 5):
+def test_classification_is_unplayable_or_strongly_playable():
+    for n in range(1, 8):
         for t in enumerate_tournaments(n, up_to_iso=True):
             rep = classify_playability(t)
-            assert rep.playability is not Playability.WEAKLY_PLAYABLE_ONLY
+            assert rep.playability in {Playability.UNPLAYABLE, Playability.STRONGLY_PLAYABLE}
 
 
 def test_max_probability_bound_over_playable_5():

@@ -1,13 +1,26 @@
-"""The integer path of the even sweep against oracles used in tests only:
-sympy for determinants, the Fraction payoff matrix for the entries, and the
-Pfaffian identities pf(A)**2 = det(A) and Pf(P A P^T) = det(P) Pf(A)."""
+"""The integer paths against oracles used in tests only: sympy for
+determinants and kernels, the Fraction payoff matrix and the general
+polytope routine, the Pfaffian identities pf(A)**2 = det(A) and
+Pf(P A P^T) = det(P) Pf(A), and the blow-up equilibrium identity."""
 
+from fractions import Fraction
+
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourneylab import RationalMatrix, payoff_matrix
-from tourneylab.equilibrium import packed_payoff_rows
+from tourneylab import (
+    RationalMatrix,
+    blow_up,
+    classic_cycle,
+    enumerate_tournaments,
+    equilibrium_polytope,
+    imbalanced_equilibrium_closed_form,
+    imbalanced_rps,
+    payoff_matrix,
+)
+from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
 from tourneylab.rational import _bareiss_echelon, _pfaffian_expand
 from tourneylab.tournament import tournament_from_canonical
 
@@ -43,3 +56,59 @@ def test_integer_path_matches_oracles(game):
     permuted = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     assert sympy.Matrix(permuted) == P * sympy.Matrix(rows) * P.T
     assert _pfaffian_expand(permuted) == P.det() * pf
+
+
+@st.composite
+def masks(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    return n, draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+
+
+def signed_sub_pfaffians(rows):
+    """(-1)**i Pf A with row and column i removed, for each i."""
+    n = len(rows)
+    return [
+        (-1) ** i
+        * _pfaffian_expand([[x for j, x in enumerate(r) if j != i] for k, r in enumerate(rows) if k != i])
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(masks())
+def test_equilibrium_kernel_matches_oracles(game):
+    n, mask = game
+    rows = packed_payoff_rows(n, mask)
+    point = tournament_equilibrium(rows)  # asserts rank n - n mod 2 itself
+    null = sympy.Matrix(rows).nullspace()
+    assert len(null) == n % 2
+    if n % 2 == 0:
+        assert point is None
+        return
+    pf = signed_sub_pfaffians(rows)
+    assert all(x % 2 == 1 for x in pf)
+    (v,) = null
+    assert sympy.Matrix(pf) * v[0] == v * pf[0]
+    if min(pf) > 0 or max(pf) < 0:
+        assert point == tuple(Fraction(x, sum(pf)) for x in pf)
+    else:
+        assert point is None
+
+
+def test_equilibrium_matches_general_polytope_up_to_7_objects():
+    for n in range(1, 8):
+        for t in enumerate_tournaments(n, up_to_iso=True):
+            P = equilibrium_polytope(payoff_matrix(t))
+            assert P.kernel_dim == n % 2
+            general = P.vertices[0] if P.is_single_point and all(P.support_mask) else None
+            assert tournament_equilibrium(payoff_rows(t)) == general
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m", [3, 5])
+def test_blow_up_spreads_glued_mass_uniformly(k, m):
+    outer, eq = imbalanced_rps(k), imbalanced_equilibrium_closed_form(k)
+    for g in range(outer.n):
+        blown = blow_up(outer, g, classic_cycle(m))
+        expected = [x for i, x in enumerate(eq) if i != g] + [eq[g] / m] * m
+        assert tournament_equilibrium(payoff_rows(blown)) == tuple(expected)

@@ -21,7 +21,7 @@ from tourneylab import (
     parse_edge_list,
 )
 from tourneylab.construct import classic_cycle, imbalanced_rps
-from tourneylab.tournament import tournament_from_canonical
+from tourneylab.tournament import _k_limit, tournament_from_canonical
 from tests.conftest import make_transitive
 
 # published counts of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
@@ -308,6 +308,59 @@ def test_k_minimizing_two_single_loss_objects():
     losses = degree_profile(t).e_out
     assert sorted(losses)[:2] == [1, 1]
     assert not k_minimizing_check(t, 2)
+
+
+def test_k_minimizing_one_object_fails():
+    # the only choice is M = {0}, which leaves no object outside M
+    one = Tournament(1, [[False]])
+    assert k_minimizing_check(one, 1) is False
+    assert brute_k_minimizing(one, 1) is False
+
+
+def brute_k_minimizing(t: Tournament, k: int) -> bool:
+    """The k-minimizing condition checked on every tie-break choice of M."""
+    n = t.n
+    losses = degree_profile(t).e_out
+    order = sorted(range(n), key=lambda i: (losses[i], i))
+    threshold = losses[order[k - 1]]
+    fixed = [i for i in order[:k] if losses[i] < threshold]
+    tied = [i for i in range(n) if losses[i] == threshold]
+    for choice in itertools.combinations(tied, k - len(fixed)):
+        members = set(fixed) | set(choice)
+        outside = [o for o in range(n) if o not in members]
+        each_beaten_outside = all(any(t.beats[o][b] for o in outside) for b in members)
+        beating = {o for o in outside if any(t.beats[o][b] for b in members)}
+        whole_rest_beats = bool(outside) and set(outside) == beating
+        if not (each_beaten_outside or whole_rest_beats):
+            return False
+    return True
+
+
+@st.composite
+def k_games(draw):
+    """Games of 1-11 objects, half of them (near-)regular so that many
+    objects tie on losses: the rotational game, each pair at distance n/2
+    won by the lower index when n is even, with up to two edges reversed."""
+    n = draw(st.integers(min_value=1, max_value=11))
+    if draw(st.booleans()):
+        mask = draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+        return tournament_from_canonical(n, mask)
+    beats = [
+        [0 < (j - i) % n < n / 2 or ((j - i) % n == n / 2 and i < j) for j in range(n)]
+        for i in range(n)
+    ]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(pair, max_size=2)):
+        if i != j:
+            beats[i][j], beats[j][i] = beats[j][i], beats[i][j]
+    return relabeled(Tournament(n, beats), draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k_games())
+def test_k_minimizing_matches_brute_force(t):
+    for k in range(1, _k_limit(t.n) + 1):
+        assert k_minimizing_check(t, k) == brute_k_minimizing(t, k)
 
 
 def test_k_minimizing_range_errors(classic3, rps_well):

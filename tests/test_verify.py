@@ -120,6 +120,8 @@ def test_structural_n3_trivial():
 
 def test_structural_validation():
     with pytest.raises(ValueError):
+        verify_structural_lemmas(1)
+    with pytest.raises(ValueError):
         verify_structural_lemmas(4)
     with pytest.raises(ValueError):
         verify_structural_lemmas(9)
