@@ -29,9 +29,9 @@ from .tournament import (
     EdgeListParseError,
     Tournament,
     _k_limit,
+    _k_minimizing_checker,
     degree_profile,
     format_edge_list,
-    k_minimizing_check,
     landau_bound_check,
     parse_edge_list,
 )
@@ -130,7 +130,8 @@ def build_analysis(t: Tournament, alpha: Fraction = Fraction(1, 2)) -> dict:
     profile = degree_profile(t)
     report = classify_playability(t)
     imb = imbalance_report(t, alpha, report) if t.n >= 2 else None
-    kmin = [{"k": k, "ok": k_minimizing_check(t, k)} for k in range(1, _k_limit(t.n) + 1)]
+    kmin_ok = _k_minimizing_checker(t)
+    kmin = [{"k": k, "ok": kmin_ok(k)} for k in range(1, _k_limit(t.n) + 1)]
     doc: dict = {
         "schema": 1,
         "input": {

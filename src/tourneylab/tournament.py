@@ -9,7 +9,7 @@ winner). e_out[i] therefore counts i's losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -233,7 +233,12 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 
 def canonical_form(t: Tournament) -> int:
-    """Lexicographically minimal upper-triangle bit string over all relabelings.
+    """Lexicographically minimal upper-triangle bit string over all relabelings."""
+    return _canonical_search([sum(1 << u for u in range(t.n) if row[u]) for row in t.beats])
+
+
+def _canonical_search(win: list[int]) -> int:
+    """canonical_form of the tournament where bit u of win[v] is set iff v beats u.
 
     Exact branch-and-bound over ordered cells (the ordered-partition
     refinement of McKay & Piperno 2014, cut down to this lexmin value). After
@@ -246,9 +251,7 @@ def canonical_form(t: Tournament) -> int:
     The search branches only on ties, and drops a branch whose prefix,
     shifted past the bits still to come, already exceeds the best leaf.
     """
-    n = t.n
-    # win[v] has bit u set iff v beats u
-    win = [sum(1 << u for u in range(n) if row[u]) for row in t.beats]
+    n = len(win)
     best = -1
 
     def search(cells: list[int], prefix: int, r: int) -> None:
@@ -314,29 +317,35 @@ _ISO_CACHE: dict[int, tuple[int, ...]] = {1: (0,)}
 def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
     """Sorted canonical forms of all isomorphism classes, by vertex extension.
 
-    Cached once complete; `_check` is polled during the build so callers can
-    enforce a time budget. 9 vertices is allowed here for the opt-in theorem
-    run even though the public enumeration stops at 8.
+    Deleting a vertex with the fewest wins from an n-class leaves an (n-1)-class,
+    so only extensions whose new vertex has the fewest wins are canonicalized.
+    Cached once complete; `_check` is polled with each parent's progress, for a
+    time budget. n = 9 serves the opt-in theorem run; public enumeration stops at 8.
     """
     if n > 9:
         raise ValueError("isomorphism classes are built for n <= 9 only")
     cached = _ISO_CACHE.get(n)
     if cached is not None:
         return cached
+    m = n - 1
+    parents = _iso_classes(m, _check)
     seen: set[int] = set()
-    for packed in _iso_classes(n - 1, _check):
+    for done, packed in enumerate(parents):
         if _check is not None:
-            _check()
-        base = tournament_from_canonical(n - 1, packed)
-        for pattern in range(1 << (n - 1)):
-            beats = [list(row) + [False] for row in base.beats]
-            beats.append([False] * n)
-            for u in range(n - 1):
-                if (pattern >> u) & 1:
-                    beats[u][n - 1] = True
-                else:
-                    beats[n - 1][u] = True
-            seen.add(canonical_form(Tournament(n, beats)))
+            _check(f"class build at {n} objects: {done}/{len(parents)} parent classes")
+        win = [0] * m
+        for i, j, i_wins in _unpack(m, packed):
+            win[i if i_wins else j] |= 1 << (j if i_wins else i)
+        low = min(w.bit_count() for w in win)
+        lows = sum(1 << u for u, w in enumerate(win) if w.bit_count() == low)
+        # bit u of pattern: u beats the new vertex; the new vertex beats the rest
+        for pattern in range(1 << m):
+            new_wins = m - pattern.bit_count()
+            if new_wins > low and (new_wins > low + 1 or lows & ~pattern):
+                continue
+            ext = [w | (pattern >> u & 1) << m for u, w in enumerate(win)]
+            ext.append((1 << m) - 1 & ~pattern)
+            seen.add(_canonical_search(ext))
     out = tuple(sorted(seen))
     _ISO_CACHE[n] = out
     return out
@@ -385,22 +394,31 @@ def k_minimizing_check(t: Tournament, k: int) -> bool:
     is such a choice, so a pair (b, o) with R <= U and |R| <= k <= |U| decides
     it: O(n^3) instead of a walk over every tie-break.
     """
+    if not 1 <= k <= _k_limit(t.n):
+        raise ValueError(f"k={k} out of range for n={t.n}")
+    return _k_minimizing_checker(t)(k)
+
+
+def _k_minimizing_checker(t: Tournament) -> Callable[[int], bool]:
+    """k_minimizing_check(t, .) for valid k, with the beater masks built once."""
     n = t.n
-    if not 1 <= k <= _k_limit(n):
-        raise ValueError(f"k={k} out of range for n={n}")
-    if k == n:
-        return False  # no object lies outside M
-    losses = degree_profile(t).e_out
-    threshold = sorted(losses)[k - 1]
-    forced = sum(1 << i for i, x in enumerate(losses) if x < threshold)
-    pool = forced | sum(1 << i for i, x in enumerate(losses) if x == threshold)
     beaters = [sum(1 << o for o, won in enumerate(col) if won) for col in zip(*t.beats)]
-    wide = [u for u in (m & pool for m in beaters) if u.bit_count() >= k]
-    for b in range(n):
-        r = forced | 1 << b | beaters[b]
-        if r.bit_count() <= k and any(r & ~u == 0 for u in wide):
-            return False
-    return True
+    losses = [m.bit_count() for m in beaters]
+
+    def check(k: int) -> bool:
+        if k == n:
+            return False  # no object lies outside M
+        threshold = sorted(losses)[k - 1]
+        forced = sum(1 << i for i, x in enumerate(losses) if x < threshold)
+        pool = forced | sum(1 << i for i, x in enumerate(losses) if x == threshold)
+        wide = [u for u in (m & pool for m in beaters) if u.bit_count() >= k]
+        for b in range(n):
+            r = forced | 1 << b | beaters[b]
+            if r.bit_count() <= k and any(r & ~u == 0 for u in wide):
+                return False
+        return True
+
+    return check
 
 
 def landau_bound_check(t: Tournament) -> bool:

@@ -28,10 +28,11 @@ from .tournament import (
     canonical_form,
     degree_profile,
     is_strong,
-    k_minimizing_check,
     landau_bound_check,
     tournament_from_canonical,
     _iso_classes,
+    _k_limit,
+    _k_minimizing_checker,
 )
 
 BUDGET_ENV_VAR = "TOURNEYLAB_BUDGET_SECS"
@@ -62,9 +63,11 @@ class _Deadline:
             raise ValueError(f"{source} must be a finite number of seconds >= 0, got {budget_secs}")
         self.expires = None if budget_secs is None else time.monotonic() + budget_secs
 
-    def check(self) -> None:
+    def check(self, progress: str | None = None) -> None:
+        """Raise once the budget is spent; `progress` says how far the run got."""
         if self.expires is not None and time.monotonic() > self.expires:
-            raise BudgetExceededError("verification time budget exceeded")
+            where = f" during {progress}" if progress else ""
+            raise BudgetExceededError(f"verification time budget exceeded{where}")
 
 
 def _worker_count(jobs: int) -> int:
@@ -322,20 +325,13 @@ def verify_theorem(
 
     uiv_unique = all(s.ui_v < cons.ui_v for s in others)
     ties_unique = all(s.ties < cons.ties for s in others)
-    uie_attained = all(
-        compare_entropies(cons.score_masses, s.score_masses) >= 0 for s in others
-    )
-    ne_attained = all(
-        compare_entropies(cons.equilibrium_sorted, s.equilibrium_sorted) <= 0
-        for s in others
-    )
-    uie_unique = all(
-        compare_entropies(cons.score_masses, s.score_masses) > 0 for s in others
-    )
-    ne_unique = all(
-        compare_entropies(cons.equilibrium_sorted, s.equilibrium_sorted) < 0
-        for s in others
-    )
+    # one entropy sign per competitor and statistic decides both flags
+    uie_signs = [compare_entropies(cons.score_masses, s.score_masses) for s in others]
+    ne_signs = [compare_entropies(cons.equilibrium_sorted, s.equilibrium_sorted) for s in others]
+    uie_attained = all(c >= 0 for c in uie_signs)
+    ne_attained = all(c <= 0 for c in ne_signs)
+    uie_unique = all(c > 0 for c in uie_signs)
+    ne_unique = all(c < 0 for c in ne_signs)
 
     def tally(key: Callable[[_ClassStats], Sequence]) -> MajorizationTally:
         counts = {Majorization.STRICT: 0, Majorization.EQUAL: 0, Majorization.NO: 0}
@@ -629,8 +625,7 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, bool, boo
     eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
     strong = is_strong(t)
     landau = landau_bound_check(t)
-    m = (objects - 1) // 2
-    kmin_all = all(k_minimizing_check(t, k) for k in range(1, m + 2))
+    kmin_all = all(map(_k_minimizing_checker(t), range(1, _k_limit(objects) + 1)))
     max_prob = max(eq) if eq is not None else None
     return packed, eq is not None, strong, landau, kmin_all, max_prob
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tourneylab import canonical_form, imbalanced_rps, parse_edge_list
+from tourneylab import tournament
 from tourneylab.cli import _jobs_arg, main
 
 WELL_EDGES = """\
@@ -278,6 +279,18 @@ def test_verify_budget_exceeded_exit_3(tmp_path, capsys):
         capsys,
     )
     assert code == 3 and "budget exceeded" in err
+
+
+def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
+    # with the 6-object classes cached, the first 7-object parent finds the budget spent
+    cached = {n: tournament._iso_classes(n) for n in range(1, 7)}
+    monkeypatch.setattr(tournament, "_ISO_CACHE", cached)
+    code, _, err = run_cli(
+        ["verify", "theorem", "--n", "3", "--budget", "0", "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 3
+    assert "budget exceeded: " in err
+    assert "during class build at 7 objects: 0/56 parent classes" in err
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])

@@ -21,13 +21,33 @@ from tourneylab import (
     parse_edge_list,
 )
 from tourneylab.construct import classic_cycle, imbalanced_rps
-from tourneylab.tournament import _k_limit, tournament_from_canonical
+from tourneylab.tournament import _iso_classes, _k_limit, tournament_from_canonical
 from tests.conftest import make_transitive
 
 # published counts of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
-# published counts of strong tournaments up to isomorphism, n = 1..7 (OEIS A051337)
-STRONG_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353}
+# published counts of strong tournaments up to isomorphism, n = 1..8 (OEIS A051337)
+STRONG_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353, 8: 6008}
+
+
+def brute_iso_classes(n: int) -> tuple[int, ...]:
+    """The class build without the min-wins filter: canonical forms of every
+    one-vertex extension of every (n-1)-class."""
+    if n == 1:
+        return (0,)
+    seen = set()
+    for packed in brute_iso_classes(n - 1):
+        base = tournament_from_canonical(n - 1, packed)
+        for pattern in range(1 << (n - 1)):
+            beats = [list(row) + [False] for row in base.beats]
+            beats.append([False] * n)
+            for u in range(n - 1):
+                if (pattern >> u) & 1:
+                    beats[u][n - 1] = True
+                else:
+                    beats[n - 1][u] = True
+            seen.add(canonical_form(Tournament(n, beats)))
+    return tuple(sorted(seen))
 
 
 def brute_canonical(t: Tournament) -> int:
@@ -159,6 +179,11 @@ def test_enumerate_iso_counts(n):
 def test_enumerate_strong_counts(n):
     strong = sum(1 for t in enumerate_tournaments(n, up_to_iso=True) if is_strong(t))
     assert strong == STRONG_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_iso_classes_match_unfiltered_build(n):
+    assert _iso_classes(n) == brute_iso_classes(n)
 
 
 def automorphism_count(t: Tournament) -> int:

@@ -7,13 +7,19 @@ import pytest
 from tourneylab import (
     BudgetExceededError,
     GuardBandError,
+    Majorization,
     canonical_form,
     compare_entropies,
+    imbalanced_equilibrium_closed_form,
     imbalanced_rps,
+    majorizes,
     verify_even_unplayable,
     verify_structural_lemmas,
     verify_theorem,
 )
+from tourneylab import verify
+from tourneylab.equilibrium import payoff_rows, tournament_equilibrium
+from tourneylab.tournament import tournament_from_canonical
 from tourneylab.verify import _even_checks, _worker_count
 
 F = Fraction
@@ -43,6 +49,22 @@ def test_theorem_n2_golden():
     assert rep.schur_violations == 0
 
 
+def test_entropy_flags_from_one_sign_per_competitor(monkeypatch):
+    # an entropy tie with every competitor: both extremes attained, neither unique
+    calls = []
+
+    def tie(x, y):
+        calls.append((x, y))
+        return 0
+
+    monkeypatch.setattr(verify, "compare_entropies", tie)
+    rep = verify_theorem(2)
+    stats = {s.name: s for s in rep.statistics}
+    for name in ("ui_entropy", "nash_entropy"):
+        assert stats[name].attained and not stats[name].unique
+    assert len(calls) == 2 * (rep.playable_count - 1)
+
+
 def test_theorem_reports_are_deterministic():
     a = verify_theorem(2)
     b = verify_theorem(2)
@@ -54,6 +76,21 @@ def test_theorem_jobs_parallel_matches_serial():
     serial = verify_theorem(2, jobs=1)
     parallel = verify_theorem(2, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_nine_object_equilibrium_majorization_witness():
+    # a playable 9-object class whose equilibrium sequence the construction's
+    # does not majorize: assertion (d) fails at 9 objects as it does at 7
+    t = tournament_from_canonical(9, 281350272)
+    assert canonical_form(t) == 281350272
+    eq = tournament_equilibrium(payoff_rows(t))
+    assert eq is not None and all(x > 0 for x in eq)
+    seq = tuple(sorted(eq, reverse=True))
+    assert seq == (
+        F(1, 3), F(1, 3), F(3, 35), F(1, 15), F(1, 15), F(1, 21), F(1, 21), F(1, 105), F(1, 105)
+    )
+    cons = imbalanced_equilibrium_closed_form(4)
+    assert majorizes(sorted(cons, reverse=True), seq) is Majorization.NO
 
 
 def test_theorem_large_requires_opt_in():
