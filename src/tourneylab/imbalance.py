@@ -107,7 +107,6 @@ def nash_entropy(v: Sequence[Fraction | float]) -> float:
 
 class Majorization(Enum):
     STRICT = "strict"
-    WEAK = "weak"
     EQUAL = "equal"
     NO = "no"
 
@@ -116,9 +115,7 @@ def majorizes(x: Sequence[Fraction], y: Sequence[Fraction]) -> Majorization:
     """Compare equal-length sequences by descending prefix sums.
 
     EQUAL for identical multisets, STRICT when some proper prefix is strictly
-    larger, NO otherwise. For equal-sum finite sequences the WEAK arm is
-    degenerate (identical prefix sums force identical multisets); it is kept
-    for the extended-real comparator.
+    larger, NO otherwise.
     """
     if len(x) != len(y):
         raise ValueError("sequences must have equal length")
@@ -128,16 +125,13 @@ def majorizes(x: Sequence[Fraction], y: Sequence[Fraction]) -> Majorization:
         return Majorization.NO
     if xs == ys:
         return Majorization.EQUAL
-    strict = False
     px = py = Fraction(0)
     for a, b in zip(xs, ys):
         px += a
         py += b
         if px < py:
             return Majorization.NO
-        if px > py:
-            strict = True
-    return Majorization.STRICT if strict else Majorization.EQUAL
+    return Majorization.STRICT
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 even-order/structural lemmas, over all tournaments of the requested size.
 
 Reports are plain dataclasses with deterministic JSON and Markdown renderings;
-two runs produce byte-identical output. Playability verdicts use the kernel
-polytope; strong connectivity is tallied alongside as a cross-check but never
-substituted for it (strongness is necessary, not sufficient — see
+two runs produce byte-identical output. One integer elimination
+(`equilibrium.tournament_equilibrium`) decides each class's playability first,
+and only playable classes get statistics; strong connectivity is tallied
+alongside as a cross-check but never substituted for it (strongness is
+necessary, not sufficient — see
 StructuralLemmasReport.strong_but_unplayable_count).
 """
 
@@ -22,7 +24,7 @@ import mpmath
 
 from .construct import imbalanced_rps
 from .equilibrium import equilibrium_polytope, packed_payoff_rows, tournament_equilibrium
-from .imbalance import Majorization, majorizes, nash_ties, uniform_profile, ui_variance
+from .imbalance import Majorization, majorizes, nash_entropy, nash_ties, uniform_profile, ui_variance
 from .rational import RationalMatrix, Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
     canonical_form,
@@ -112,28 +114,23 @@ def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
 class _ClassStats:
     packed: int
     wins_sorted: tuple[int, ...]
-    playable: bool
-    strong: bool
-    ui_v: Fraction | None = None
-    ties: Fraction | None = None
-    score_masses: tuple[Fraction, ...] | None = None
-    equilibrium_sorted: Vector | None = None
+    ui_v: Fraction
+    ties: Fraction
+    score_masses: tuple[Fraction, ...]
+    equilibrium_sorted: Vector
 
 
-def _class_stats(args: tuple[int, int]) -> _ClassStats:
+def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
+    """Statistics of one playable class; None for an unplayable one."""
     objects, packed = args
-    t = tournament_from_canonical(objects, packed)
-    profile = uniform_profile(t)
-    wins_sorted = tuple(sorted(degree_profile(t).e_in))
-    strong = is_strong(t)
     eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
     if eq is None:
-        return _ClassStats(packed, wins_sorted, False, strong)
+        return None
+    t = tournament_from_canonical(objects, packed)
+    profile = uniform_profile(t)
     return _ClassStats(
         packed,
-        wins_sorted,
-        True,
-        strong,
+        wins_sorted=tuple(sorted(degree_profile(t).e_in)),
         ui_v=ui_variance(profile),
         ties=nash_ties(eq),
         score_masses=tuple(profile.score_distribution.values()),
@@ -314,11 +311,9 @@ def verify_theorem(
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
-    packed_classes = list(_iso_classes(objects, _check=deadline.check))
-    stats: list[_ClassStats] = _map_jobs(
-        _class_stats, [(objects, c) for c in packed_classes], jobs, deadline
-    )
-    playable = [s for s in stats if s.playable]
+    packed_classes = _iso_classes(objects, _check=deadline.check)
+    stats = _map_jobs(_class_stats, [(objects, c) for c in packed_classes], jobs, deadline)
+    playable: list[_ClassStats] = [s for s in stats if s is not None]
     cons_canon = canonical_form(imbalanced_rps(n))
     cons = next(s for s in playable if s.packed == cons_canon)
     others = [s for s in playable if s.packed != cons_canon]
@@ -367,41 +362,34 @@ def verify_theorem(
                 if not a.ties > b.ties:
                     schur_violations += 1
 
-    def frac(x: Fraction) -> str:
-        return str(x)
-
     best_uiv = max((s.ui_v for s in others), default=None)
     best_ties = max((s.ties for s in others), default=None)
     statistics = (
         StatisticVerdict(
             "ui_variance",
-            frac(cons.ui_v),
-            frac(best_uiv) if best_uiv is not None else None,
+            str(cons.ui_v),
+            str(best_uiv) if best_uiv is not None else None,
             attained=all(s.ui_v <= cons.ui_v for s in others),
             unique=uiv_unique,
         ),
         StatisticVerdict(
             "nash_ties",
-            frac(cons.ties),
-            frac(best_ties) if best_ties is not None else None,
+            str(cons.ties),
+            str(best_ties) if best_ties is not None else None,
             attained=all(s.ties <= cons.ties for s in others),
             unique=ties_unique,
         ),
         StatisticVerdict(
             "ui_entropy",
-            repr(_float_entropy(cons.score_masses)),
-            repr(max((_float_entropy(s.score_masses) for s in others), default=None))
-            if others
-            else None,
+            repr(nash_entropy(cons.score_masses)),
+            repr(max(nash_entropy(s.score_masses) for s in others)) if others else None,
             attained=uie_attained,
             unique=uie_unique,
         ),
         StatisticVerdict(
             "nash_entropy",
-            repr(_float_entropy(cons.equilibrium_sorted)),
-            repr(min((_float_entropy(s.equilibrium_sorted) for s in others), default=None))
-            if others
-            else None,
+            repr(nash_entropy(cons.equilibrium_sorted)),
+            repr(min(nash_entropy(s.equilibrium_sorted) for s in others)) if others else None,
             attained=ne_attained,
             unique=ne_unique,
         ),
@@ -412,7 +400,7 @@ def verify_theorem(
     return TheoremReport(
         n=n,
         objects=objects,
-        class_count=len(stats),
+        class_count=len(packed_classes),
         playable_count=len(playable),
         construction_canonical=cons_canon,
         champion_canonical=champion.packed,
@@ -426,10 +414,6 @@ def verify_theorem(
         e_in_strictly_majorizes=ein_tally.equal == 0 and ein_tally.no == 0,
         equilibrium_strictly_majorizes=eq_tally.equal == 0 and eq_tally.no == 0,
     )
-
-
-def _float_entropy(masses: Sequence[Fraction]) -> float:
-    return -sum(float(m) * math.log(float(m)) for m in masses if m > 0) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +558,16 @@ class StructuralLemmasReport:
     landau_failures: tuple[int, ...]
     k_minimizing_failures: tuple[int, ...]
     max_probability_failures: tuple[int, ...]
-    contrapositive_failures: tuple[int, ...]
+
+    @property
+    def contrapositive_failures(self) -> tuple[int, ...]:
+        """Classes that fail a k-minimizing condition and are playable anyway.
+
+        The contrapositive (not k-minimizing implies unplayable) fails on
+        exactly the playable classes that fail a k-minimizing condition, so
+        this is `k_minimizing_failures`; the reports keep it under its own key.
+        """
+        return self.k_minimizing_failures
 
     @property
     def ok(self) -> bool:
@@ -582,7 +575,6 @@ class StructuralLemmasReport:
             self.landau_failures
             or self.k_minimizing_failures
             or self.max_probability_failures
-            or self.contrapositive_failures
         )
 
     def to_json_dict(self) -> dict:
@@ -619,15 +611,17 @@ class StructuralLemmasReport:
         ) + "\n"
 
 
-def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, bool, bool, Fraction | None]:
+def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, tuple[bool, bool, Fraction] | None]:
+    """(packed, strong, checks). For a playable class the checks are (degree-prefix
+    bounds hold, every k-minimizing condition holds, largest equilibrium
+    probability); an unplayable class gets None."""
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
     eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
-    strong = is_strong(t)
-    landau = landau_bound_check(t)
+    if eq is None:
+        return packed, is_strong(t), None
     kmin_all = all(map(_k_minimizing_checker(t), range(1, _k_limit(objects) + 1)))
-    max_prob = max(eq) if eq is not None else None
-    return packed, eq is not None, strong, landau, kmin_all, max_prob
+    return packed, is_strong(t), (landau_bound_check(t), kmin_all, max(eq))
 
 
 def _structural_bounds(n: int) -> None:
@@ -644,30 +638,27 @@ def verify_structural_lemmas(
     _structural_bounds(n)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
-    packed_classes = list(_iso_classes(n, _check=deadline.check))
-    rows = _map_jobs(
-        _structural_stats, [(n, c) for c in packed_classes], jobs, deadline
-    )
-    landau_fail, kmin_fail, prob_fail, contra_fail = [], [], [], []
+    packed_classes = _iso_classes(n, _check=deadline.check)
+    rows = _map_jobs(_structural_stats, [(n, c) for c in packed_classes], jobs, deadline)
+    landau_fail, kmin_fail, prob_fail = [], [], []
     strong_unplayable = []
     playable_count = strong_count = 0
     third = Fraction(1, 3)
-    for packed, playable, strong, landau, kmin_all, max_prob in rows:
+    for packed, strong, checks in rows:
         if strong:
             strong_count += 1
-        if playable:
-            playable_count += 1
-            if not landau:
-                landau_fail.append(packed)
-            if not kmin_all:
-                kmin_fail.append(packed)
-            if max_prob is not None and max_prob > third:
-                prob_fail.append(packed)
-        else:
+        if checks is None:
             if strong:
                 strong_unplayable.append(packed)
-        if not kmin_all and playable:
-            contra_fail.append(packed)
+            continue
+        playable_count += 1
+        landau, kmin_all, max_prob = checks
+        if not landau:
+            landau_fail.append(packed)
+        if not kmin_all:
+            kmin_fail.append(packed)
+        if max_prob > third:
+            prob_fail.append(packed)
     return StructuralLemmasReport(
         n=n,
         class_count=len(rows),
@@ -678,5 +669,4 @@ def verify_structural_lemmas(
         landau_failures=tuple(landau_fail),
         k_minimizing_failures=tuple(kmin_fail),
         max_probability_failures=tuple(prob_fail),
-        contrapositive_failures=tuple(contra_fail),
     )

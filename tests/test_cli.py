@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,36 @@ def test_verify_structural(tmp_path, capsys):
         ["verify", "structural", "--objects", "5", "--out-dir", str(tmp_path)], capsys
     )
     assert code == 0 and "structural_n5: PASS" in out
+
+
+# sha256 of every report the runs below write; a change to any report byte
+# must change these on purpose
+REPORT_DIGESTS = {
+    "even_maxn4.json": "be4a601416aa00d0595137a2a7ca761e593838efb8a9ddf3c7602e9f1ec80151",
+    "even_maxn4.md": "54827c899d79252316b0703464e2df6f28b92d5e6ae1b993e7fd26a894edc6b3",
+    "structural_n3.json": "0e175c810e8088ea810801e83cc78f141b643e7604dc7058e3cb99bf615ebaea",
+    "structural_n3.md": "7eaf12707860c098d7e3e2ff25be061dd302cda6251f963f4b038dc5a6dcc1fd",
+    "structural_n5.json": "8aff5188d7d99b8ca0679cf2a9c390ab402a36f202d12a1ab0d0c22350012180",
+    "structural_n5.md": "c5ae806108469e19c42ffbd8903e808e7fbf5c3bdcc60298ae74331ec512806b",
+    "structural_n7.json": "ccfad4aa9b9443086e7971b4c1d12a36de02392d4e77d58b0f3fea71c1e0599f",
+    "structural_n7.md": "0ba0e2a357ed27f8e9d64a2d980fee7fa20122ebdff744b5d7fea65b10bfe2c3",
+    "theorem_n1.json": "677be913a7c157ad13af7e9f12c181bf92e0992fcb387560e60f6a24139f314e",
+    "theorem_n1.md": "7508d7adafa20c5e89936199d7231049dcedee37d9ecc7c275c9c2d12d07a542",
+    "theorem_n2.json": "a6051f320399c652c63973638bcaa92fa27c64e81c3d70d668f075c03f59c134",
+    "theorem_n2.md": "37579910c44497b3caeb3ff7cd7feb00bf8dc5c583e45555b7fd05d0f0b24106",
+    "theorem_n3.json": "41270f0b28013a82b3815eeab2c66fa5a4a213bc34514ed4f654eb8de2049bb9",
+    "theorem_n3.md": "dfeb058da28c803729fb5b6a47cb60b481fcaeabbf009df17271fd3d446e4641",
+}
+
+
+def test_verify_reports_match_pinned_digests(tmp_path, capsys):
+    runs = [["theorem", "--n", n] for n in ("1", "2", "3")]
+    runs += [["structural", "--objects", m] for m in ("3", "5", "7")]
+    runs += [["even", "--max-n", "4"]]
+    for args in runs:
+        run_cli(["verify", *args, "--out-dir", str(tmp_path)], capsys)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == REPORT_DIGESTS
 
 
 def test_verify_budget_exceeded_exit_3(tmp_path, capsys):

@@ -161,14 +161,30 @@ def test_majorizes_cases():
         majorizes([1, 2], [1, 2, 3])
 
 
-def test_majorizes_never_weak_for_finite_sequences():
+def test_majorizes_matches_prefix_sum_definition():
+    import itertools
     import random
 
+    def expected(x, y):
+        px = list(itertools.accumulate(sorted(x, reverse=True)))
+        py = list(itertools.accumulate(sorted(y, reverse=True)))
+        if sorted(x) == sorted(y):
+            return Majorization.EQUAL
+        if px[-1] == py[-1] and all(a >= b for a, b in zip(px, py)):
+            return Majorization.STRICT
+        return Majorization.NO
+
     rng = random.Random(3)
+    seen = set()
     for _ in range(200):
         x = [rng.randrange(0, 5) for _ in range(4)]
         y = [rng.randrange(0, 5) for _ in range(4)]
-        assert majorizes(x, y) is not Majorization.WEAK
+        # the reversed copy of x is a permutation, so it reaches EQUAL
+        for a, b in ((x, y), (x, x[::-1])):
+            verdict = expected(a, b)
+            assert majorizes(a, b) is verdict
+            seen.add(verdict)
+    assert seen == set(Majorization)
 
 
 def test_extended_clause_one_decides_on_infinite_counts():

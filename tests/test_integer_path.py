@@ -3,6 +3,7 @@ determinants and kernels, the Fraction payoff matrix and the general
 polytope routine, the Pfaffian identities pf(A)**2 = det(A) and
 Pf(P A P^T) = det(P) Pf(A), and the blow-up equilibrium identity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from tourneylab import (
     RationalMatrix,
     blow_up,
+    canonical_form,
     classic_cycle,
     enumerate_tournaments,
     equilibrium_polytope,
@@ -95,13 +97,31 @@ def test_equilibrium_kernel_matches_oracles(game):
         assert point is None
 
 
+def general_point(t):
+    """The full-support point of the general Fraction kernel polytope, or None."""
+    P = equilibrium_polytope(payoff_matrix(t))
+    assert P.kernel_dim == t.n % 2
+    return P.vertices[0] if P.is_single_point and all(P.support_mask) else None
+
+
 def test_equilibrium_matches_general_polytope_up_to_7_objects():
     for n in range(1, 8):
         for t in enumerate_tournaments(n, up_to_iso=True):
-            P = equilibrium_polytope(payoff_matrix(t))
-            assert P.kernel_dim == n % 2
-            general = P.vertices[0] if P.is_single_point and all(P.support_mask) else None
-            assert tournament_equilibrium(payoff_rows(t)) == general
+            assert tournament_equilibrium(payoff_rows(t)) == general_point(t)
+
+
+def test_equilibrium_matches_general_polytope_on_9_objects():
+    # seeded labeled games are almost all unplayable; the pinned playable class
+    # and the construction's class take the positive branch
+    rng = random.Random(9)
+    masks = [rng.getrandbits(36) for _ in range(300)]
+    masks += [281350272, canonical_form(imbalanced_rps(4))]
+    playable = 0
+    for m in masks:
+        point = tournament_equilibrium(packed_payoff_rows(9, m))
+        assert point == general_point(tournament_from_canonical(9, m))
+        playable += point is not None
+    assert playable >= 2
 
 
 @pytest.mark.parametrize("k", [2, 3])

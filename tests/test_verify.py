@@ -18,8 +18,8 @@ from tourneylab import (
     verify_theorem,
 )
 from tourneylab import verify
-from tourneylab.equilibrium import payoff_rows, tournament_equilibrium
-from tourneylab.tournament import tournament_from_canonical
+from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
+from tourneylab.tournament import _iso_classes, tournament_from_canonical
 from tourneylab.verify import _even_checks, _worker_count
 
 F = Fraction
@@ -148,6 +148,40 @@ def test_structural_n5_counts():
     assert not rep.k_minimizing_failures
     assert not rep.max_probability_failures
     assert not rep.contrapositive_failures
+
+
+def test_structural_failure_lists(monkeypatch):
+    # fake checks that fail on chosen playable 7-object classes, and record
+    # which classes they are asked about
+    playable = [
+        c for c in _iso_classes(7) if tournament_equilibrium(packed_payoff_rows(7, c)) is not None
+    ]
+    landau_bad, kmin_bad = set(playable[:2]), set(playable[1:3])
+    asked = {"landau": set(), "kmin": set()}
+
+    def landau(t):
+        asked["landau"].add(canonical_form(t))
+        return canonical_form(t) not in landau_bad
+
+    def kmin_checker(t):
+        asked["kmin"].add(canonical_form(t))
+        return lambda k: canonical_form(t) not in kmin_bad
+
+    monkeypatch.setattr(verify, "landau_bound_check", landau)
+    monkeypatch.setattr(verify, "_k_minimizing_checker", kmin_checker)
+    rep = verify_structural_lemmas(7, jobs=1)
+    assert not rep.ok
+    assert rep.playable_count == len(playable) == 12
+    assert rep.landau_failures == tuple(playable[:2])
+    assert rep.k_minimizing_failures == tuple(playable[1:3])
+    assert rep.max_probability_failures == ()
+    assert rep.contrapositive_failures == rep.k_minimizing_failures
+    doc = rep.to_json_dict()
+    assert doc["ok"] is False
+    assert doc["contrapositive_failures"] == doc["k_minimizing_failures"] == playable[1:3]
+    assert "contrapositive failures: 2" in rep.to_markdown()
+    # unplayable classes never reach the degree-prefix or k-minimizing checks
+    assert asked == {"landau": set(playable), "kmin": set(playable)}
 
 
 def test_structural_n3_trivial():
