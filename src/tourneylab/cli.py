@@ -32,6 +32,7 @@ from .tournament import (
     _k_minimizing_checker,
     degree_profile,
     format_edge_list,
+    from_edge_list,
     landau_bound_check,
     parse_edge_list,
 )
@@ -113,16 +114,7 @@ def parse_win_rate_csv(text: str) -> Tournament:
                     f"contradictory rates for pair ({labels[i]}, {labels[j]})"
                 )
             edges.append((i, j) if rij > half else (j, i))
-    return Tournament(
-        n, _beats_from_edges(n, edges), labels
-    )
-
-
-def _beats_from_edges(n: int, edges) -> list[list[bool]]:
-    beats = [[False] * n for _ in range(n)]
-    for i, j in edges:
-        beats[i][j] = True
-    return beats
+    return from_edge_list(n, edges, labels)
 
 
 def build_analysis(t: Tournament, alpha: Fraction = Fraction(1, 2)) -> dict:
@@ -216,19 +208,23 @@ def analysis_markdown(doc: dict) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; an unreadable or undecodable file raises OSError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from None
+
+
 def _cmd_analyze(args) -> int:
     path = Path(args.input)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     fmt = args.format
     if fmt == "auto":
         fmt = "csv" if path.suffix.lower() == ".csv" else "edges"
     try:
+        text = _read_text(path)
         t = parse_win_rate_csv(text) if fmt == "csv" else parse_edge_list(text)
-    except (EdgeListParseError, CsvParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     doc = build_analysis(t)
@@ -272,8 +268,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_blowup(args) -> int:
     try:
-        g1 = parse_edge_list(Path(args.outer).read_text(encoding="utf-8"))
-        g2 = parse_edge_list(Path(args.inner).read_text(encoding="utf-8"))
+        g1 = parse_edge_list(_read_text(Path(args.outer)))
+        g2 = parse_edge_list(_read_text(Path(args.inner)))
     except (OSError, EdgeListParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -290,8 +286,6 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # every selected suite's size bound is checked before the first one runs
     suites: list[tuple[str, Callable[[], object]]] = []
     opts = {"jobs": args.jobs, "budget_secs": args.budget}
@@ -327,6 +321,8 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for name, report in runs:
         (out_dir / f"{name}.json").write_text(

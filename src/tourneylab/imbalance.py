@@ -8,6 +8,7 @@ which for a tournament is unique when it exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -111,27 +112,28 @@ class Majorization(Enum):
     NO = "no"
 
 
-def majorizes(x: Sequence[Fraction], y: Sequence[Fraction]) -> Majorization:
-    """Compare equal-length sequences by descending prefix sums.
+def descending_prefix_sums(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Exact prefix sums of x sorted in descending order; they determine x
+    up to order."""
+    return tuple(itertools.accumulate(sorted((Fraction(a) for a in x), reverse=True)))
 
-    EQUAL for identical multisets, STRICT when some proper prefix is strictly
-    larger, NO otherwise.
-    """
+
+def compare_prefix_sums(px: tuple[Fraction, ...], py: tuple[Fraction, ...]) -> Majorization:
+    """Majorization of two equal-length sequences, given their descending prefix
+    sums: EQUAL for identical multisets, STRICT when the totals agree and no
+    prefix of the first is smaller, NO otherwise."""
+    if px == py:
+        return Majorization.EQUAL
+    if px[-1] != py[-1] or any(a < b for a, b in zip(px, py)):
+        return Majorization.NO
+    return Majorization.STRICT
+
+
+def majorizes(x: Sequence[Fraction], y: Sequence[Fraction]) -> Majorization:
+    """Majorization of equal-length sequences (see compare_prefix_sums)."""
     if len(x) != len(y):
         raise ValueError("sequences must have equal length")
-    xs = sorted((Fraction(a) for a in x), reverse=True)
-    ys = sorted((Fraction(b) for b in y), reverse=True)
-    if sum(xs) != sum(ys):
-        return Majorization.NO
-    if xs == ys:
-        return Majorization.EQUAL
-    px = py = Fraction(0)
-    for a, b in zip(xs, ys):
-        px += a
-        py += b
-        if px < py:
-            return Majorization.NO
-    return Majorization.STRICT
+    return compare_prefix_sums(descending_prefix_sums(x), descending_prefix_sums(y))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ StructuralLemmasReport.strong_but_unplayable_count).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -24,7 +25,15 @@ import mpmath
 
 from .construct import imbalanced_rps
 from .equilibrium import equilibrium_polytope, packed_payoff_rows, tournament_equilibrium
-from .imbalance import Majorization, majorizes, nash_entropy, nash_ties, uniform_profile, ui_variance
+from .imbalance import (
+    Majorization,
+    compare_prefix_sums,
+    descending_prefix_sums,
+    nash_entropy,
+    nash_ties,
+    uniform_profile,
+    ui_variance,
+)
 from .rational import RationalMatrix, Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
     canonical_form,
@@ -89,6 +98,10 @@ def _entropy_bits(masses: Sequence[Fraction]) -> mpmath.mpf:
         return total
 
 
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
 def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
     """Sign of H(x) - H(y) for exact mass lists, with a 1e-30 guard band.
 
@@ -113,11 +126,12 @@ def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
 @dataclass(frozen=True)
 class _ClassStats:
     packed: int
-    wins_sorted: tuple[int, ...]
+    wins_prefix: tuple[Fraction, ...]  # descending prefix sums
     ui_v: Fraction
     ties: Fraction
     score_masses: tuple[Fraction, ...]
     equilibrium_sorted: Vector
+    equilibrium_prefix: tuple[Fraction, ...]
 
 
 def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
@@ -130,27 +144,22 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
     profile = uniform_profile(t)
     return _ClassStats(
         packed,
-        wins_sorted=tuple(sorted(degree_profile(t).e_in)),
+        wins_prefix=descending_prefix_sums(degree_profile(t).e_in),
         ui_v=ui_variance(profile),
         ties=nash_ties(eq),
         score_masses=tuple(profile.score_distribution.values()),
         equilibrium_sorted=tuple(sorted(eq, reverse=True)),
+        equilibrium_prefix=descending_prefix_sums(eq),
     )
 
 
 def _map_jobs(
     fn: Callable, items: list, jobs: int, deadline: _Deadline
 ) -> list:
-    if jobs <= 1:
+    with Pool(processes=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         out = []
-        for k, item in enumerate(items):
-            if k % 64 == 0:
-                deadline.check()
-            out.append(fn(item))
-        return out
-    with Pool(processes=jobs) as pool:
-        out = []
-        for k, res in enumerate(pool.imap(fn, items, chunksize=32)):
+        results = pool.imap(fn, items, chunksize=32) if pool else map(fn, items)
+        for k, res in enumerate(results):
             if k % 64 == 0:
                 deadline.check()
             out.append(res)
@@ -318,24 +327,36 @@ def verify_theorem(
     cons = next(s for s in playable if s.packed == cons_canon)
     others = [s for s in playable if s.packed != cons_canon]
 
-    uiv_unique = all(s.ui_v < cons.ui_v for s in others)
-    ties_unique = all(s.ties < cons.ties for s in others)
-    # one entropy sign per competitor and statistic decides both flags
-    uie_signs = [compare_entropies(cons.score_masses, s.score_masses) for s in others]
-    ne_signs = [compare_entropies(cons.equilibrium_sorted, s.equilibrium_sorted) for s in others]
-    uie_attained = all(c >= 0 for c in uie_signs)
-    ne_attained = all(c <= 0 for c in ne_signs)
-    uie_unique = all(c > 0 for c in uie_signs)
-    ne_unique = all(c < 0 for c in ne_signs)
+    def verdict(name, value, render, best, signs: list[int]) -> StatisticVerdict:
+        # one sign per competitor, positive where the construction wins
+        return StatisticVerdict(
+            name,
+            render(value(cons)),
+            render(best(value(s) for s in others)) if others else None,
+            attained=all(c >= 0 for c in signs),
+            unique=all(c > 0 for c in signs),
+        )
 
-    def tally(key: Callable[[_ClassStats], Sequence]) -> MajorizationTally:
-        counts = {Majorization.STRICT: 0, Majorization.EQUAL: 0, Majorization.NO: 0}
+    uiv, ties, uie, ne = statistics = (
+        verdict("ui_variance", lambda s: s.ui_v, str, max,
+                [_sign(cons.ui_v - s.ui_v) for s in others]),
+        verdict("nash_ties", lambda s: s.ties, str, max,
+                [_sign(cons.ties - s.ties) for s in others]),
+        verdict("ui_entropy", lambda s: nash_entropy(s.score_masses), repr, max,
+                [compare_entropies(cons.score_masses, s.score_masses) for s in others]),
+        verdict("nash_entropy", lambda s: nash_entropy(s.equilibrium_sorted), repr, min,
+                [compare_entropies(s.equilibrium_sorted, cons.equilibrium_sorted) for s in others]),
+    )
+
+    def tally(prefix: Callable[[_ClassStats], tuple[Fraction, ...]]) -> MajorizationTally:
+        counts = dict.fromkeys(Majorization, 0)
         bad: list[tuple[int, str]] = []
         for s in others:
-            verdict = majorizes(key(cons), key(s))
-            counts[verdict] += 1
-            if verdict is not Majorization.STRICT:
-                bad.append((s.packed, str([str(x) for x in sorted(key(s), reverse=True)])))
+            got = compare_prefix_sums(prefix(cons), prefix(s))
+            counts[got] += 1
+            if got is not Majorization.STRICT:
+                p = prefix(s)  # the descending sequence is its prefix sums' differences
+                bad.append((s.packed, str([str(b - a) for a, b in zip((0,) + p, p)])))
         return MajorizationTally(
             counts[Majorization.STRICT],
             counts[Majorization.EQUAL],
@@ -343,57 +364,21 @@ def verify_theorem(
             tuple(bad),
         )
 
-    ein_tally = tally(lambda s: s.wins_sorted)
-    eq_tally = tally(lambda s: s.equilibrium_sorted)
+    ein_tally = tally(lambda s: s.wins_prefix)
+    eq_tally = tally(lambda s: s.equilibrium_prefix)
 
+    # Schur: a strictly majorizing sequence has the larger variance or ties
+    strict = Majorization.STRICT
     schur_violations = 0
     for a in playable:
         deadline.check()
         for b in playable:
-            if a.packed == b.packed:
-                continue
-            if majorizes(a.wins_sorted, b.wins_sorted) is Majorization.STRICT:
+            if compare_prefix_sums(a.wins_prefix, b.wins_prefix) is strict:
                 if not a.ui_v > b.ui_v:
                     schur_violations += 1
-            if (
-                majorizes(a.equilibrium_sorted, b.equilibrium_sorted)
-                is Majorization.STRICT
-            ):
+            if compare_prefix_sums(a.equilibrium_prefix, b.equilibrium_prefix) is strict:
                 if not a.ties > b.ties:
                     schur_violations += 1
-
-    best_uiv = max((s.ui_v for s in others), default=None)
-    best_ties = max((s.ties for s in others), default=None)
-    statistics = (
-        StatisticVerdict(
-            "ui_variance",
-            str(cons.ui_v),
-            str(best_uiv) if best_uiv is not None else None,
-            attained=all(s.ui_v <= cons.ui_v for s in others),
-            unique=uiv_unique,
-        ),
-        StatisticVerdict(
-            "nash_ties",
-            str(cons.ties),
-            str(best_ties) if best_ties is not None else None,
-            attained=all(s.ties <= cons.ties for s in others),
-            unique=ties_unique,
-        ),
-        StatisticVerdict(
-            "ui_entropy",
-            repr(nash_entropy(cons.score_masses)),
-            repr(max(nash_entropy(s.score_masses) for s in others)) if others else None,
-            attained=uie_attained,
-            unique=uie_unique,
-        ),
-        StatisticVerdict(
-            "nash_entropy",
-            repr(nash_entropy(cons.equilibrium_sorted)),
-            repr(min(nash_entropy(s.equilibrium_sorted) for s in others)) if others else None,
-            attained=ne_attained,
-            unique=ne_unique,
-        ),
-    )
 
     champion = max(playable, key=lambda s: (s.ui_v, -s.packed))
     champion_t = tournament_from_canonical(objects, champion.packed)
@@ -409,8 +394,8 @@ def verify_theorem(
         e_in_majorization=ein_tally,
         equilibrium_majorization=eq_tally,
         schur_violations=schur_violations,
-        unique_variance_and_ties=uiv_unique and ties_unique,
-        attains_entropy_extremes=uie_attained and ne_attained,
+        unique_variance_and_ties=uiv.unique and ties.unique,
+        attains_entropy_extremes=uie.attained and ne.attained,
         e_in_strictly_majorizes=ein_tally.equal == 0 and ein_tally.no == 0,
         equilibrium_strictly_majorizes=eq_tally.equal == 0 and eq_tally.no == 0,
     )
@@ -480,12 +465,8 @@ class EvenUnplayabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _is_odd_square(x: Fraction | int) -> bool:
-    num, den = x.numerator, x.denominator
-    if num <= 0:
-        return False
-    a, b = math.isqrt(num), math.isqrt(den)
-    return a * a == num and b * b == den and a % 2 == 1 and b % 2 == 1
+def _is_odd_square(x: int) -> bool:
+    return x > 0 and x % 2 == 1 and math.isqrt(x) ** 2 == x
 
 
 def _even_checks(rows: list[list[int]]) -> tuple[bool, bool, bool]:

@@ -93,6 +93,14 @@ def test_analyze_missing_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_analyze_non_utf8_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "utf16.edges"
+    path.write_bytes(b"\xff\xfe3\x00\n\x00")
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 def test_analyze_csv_matches_edge_list(tmp_path, capsys):
     csv_path = tmp_path / "well.csv"
     csv_path.write_text(WELL_CSV)
@@ -224,6 +232,16 @@ def test_blowup_unknown_label(tmp_path, capsys):
     assert code == 1 and "zz" in err
 
 
+def test_blowup_non_utf8_file_exit_1(tmp_path, capsys):
+    rps3 = _write_generated(tmp_path, capsys, "rps3.edges", "imbalanced", "--n", "1")
+    bad = tmp_path / "utf16.edges"
+    bad.write_bytes(b"\xff\xfe3\x00\n\x00")
+    for outer, inner in ((bad, rps3), (rps3, bad)):
+        code, out, err = run_cli(["blowup", str(outer), "s", str(inner)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {bad}: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -347,9 +365,12 @@ def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
     ],
 )
 def test_verify_out_of_range_exit_1(tmp_path, capsys, args):
-    code, _, err = run_cli(args + ["--out-dir", str(tmp_path)], capsys)
+    out_dir = tmp_path / "x" / "deep"
+    code, _, err = run_cli(args + ["--out-dir", str(out_dir)], capsys)
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    # a rejected run leaves no report directory behind
+    assert not (tmp_path / "x").exists()
 
 
 def test_verify_all_checks_every_bound_first(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from tourneylab import (
 )
 from tourneylab import verify
 from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
-from tourneylab.tournament import _iso_classes, tournament_from_canonical
+from tourneylab.tournament import _iso_classes, degree_profile, tournament_from_canonical
 from tourneylab.verify import _even_checks, _worker_count
 
 F = Fraction
@@ -63,6 +63,25 @@ def test_entropy_flags_from_one_sign_per_competitor(monkeypatch):
     for name in ("ui_entropy", "nash_entropy"):
         assert stats[name].attained and not stats[name].unique
     assert len(calls) == 2 * (rep.playable_count - 1)
+
+
+def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch):
+    # with the variance and the ties held constant, every ordered pair of
+    # playable classes whose wins or equilibria strictly majorize is a violation
+    monkeypatch.setattr(verify, "ui_variance", lambda profile: F(0))
+    monkeypatch.setattr(verify, "nash_ties", lambda eq: F(0))
+    playable = []
+    for packed in _iso_classes(7):
+        eq = tournament_equilibrium(packed_payoff_rows(7, packed))
+        if eq is not None:
+            wins = sorted(degree_profile(tournament_from_canonical(7, packed)).e_in)
+            playable.append((wins, eq))
+    strict_wins, strict_eq = (
+        sum(majorizes(a[i], b[i]) is Majorization.STRICT for a in playable for b in playable)
+        for i in (0, 1)
+    )
+    assert strict_wins > 0 and strict_eq > 0
+    assert verify_theorem(3).schur_violations == strict_wins + strict_eq
 
 
 def test_theorem_reports_are_deterministic():
