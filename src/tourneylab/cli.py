@@ -310,9 +310,12 @@ def _cmd_verify(args) -> int:
                 else [m for m in (3, 5, 7) if m <= 2 * args.n + 1]
             )
             for m in sizes:
-                _structural_bounds(m)
+                _structural_bounds(m, args.allow_large)
                 suites.append(
-                    (f"structural_n{m}", partial(verify_structural_lemmas, m, **opts))
+                    (
+                        f"structural_n{m}",
+                        partial(verify_structural_lemmas, m, allow_large=args.allow_large, **opts),
+                    )
                 )
         runs = [(name, run()) for name, run in suites]
     except BudgetExceededError as exc:
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="permit the 9-object theorem run (slow)",
+        help="permit the 9-object theorem and structural runs (slow)",
     )
     p.add_argument("--out-dir", default="reports", help="report directory")
     p.set_defaults(func=_cmd_verify)

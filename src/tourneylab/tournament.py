@@ -8,6 +8,7 @@ winner). e_out[i] therefore counts i's losses.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -234,11 +235,12 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 def canonical_form(t: Tournament) -> int:
     """Lexicographically minimal upper-triangle bit string over all relabelings."""
-    return _canonical_search([sum(1 << u for u in range(t.n) if row[u]) for row in t.beats])
+    return _canonical_search([sum(1 << u for u in range(t.n) if row[u]) for row in t.beats])[0]
 
 
-def _canonical_search(win: list[int]) -> int:
-    """canonical_form of the tournament where bit u of win[v] is set iff v beats u.
+def _canonical_search(win: list[int]) -> tuple[int, int]:
+    """(canonical_form, |Aut T|) of the tournament where bit u of win[v] is set
+    iff v beats u.
 
     Exact branch-and-bound over ordered cells (the ordered-partition
     refinement of McKay & Piperno 2014, cut down to this lexmin value). After
@@ -250,16 +252,22 @@ def _canonical_search(win: list[int]) -> int:
     survive; each splits every cell into (beats v, beaten by v) and recurses.
     The search branches only on ties, and drops a branch whose prefix,
     shifted past the bits still to come, already exceeds the best leaf.
+    Every labeling that attains the minimum reaches a leaf of its own, and
+    they are the images of any one of them under Aut T, so the leaves equal to
+    the minimum number |Aut T|.
     """
     n = len(win)
     best = -1
+    aut = 0
 
     def search(cells: list[int], prefix: int, r: int) -> None:
         # cells partition the r unplaced vertices; prefix packs rows 0..n-r-1
-        nonlocal best
+        nonlocal best, aut
         if r == 1:
             if best < 0 or prefix < best:
-                best = prefix
+                best, aut = prefix, 1
+            elif prefix == best:
+                aut += 1
             return
         first, rest = cells[0], cells[1:]
         low_row = -1
@@ -293,7 +301,7 @@ def _canonical_search(win: list[int]) -> int:
             search(split, prefix, r)
 
     search([(1 << n) - 1], 0, n)
-    return best
+    return best, aut
 
 
 def _unpack(n: int, packed: int) -> list[tuple[int, int, bool]]:
@@ -311,7 +319,8 @@ def tournament_from_canonical(n: int, packed: int) -> Tournament:
     return Tournament(n, beats)
 
 
-_ISO_CACHE: dict[int, tuple[int, ...]] = {1: (0,)}
+# n -> (sorted canonical forms, |Aut T| of each)
+_ISO_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((0,), (1,))}
 
 
 def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
@@ -319,17 +328,19 @@ def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
 
     Deleting a vertex with the fewest wins from an n-class leaves an (n-1)-class,
     so only extensions whose new vertex has the fewest wins are canonicalized.
-    Cached once complete; `_check` is polled with each parent's progress, for a
-    time budget. n = 9 serves the opt-in theorem run; public enumeration stops at 8.
+    Each class's |Aut T| comes from the search of the first extension that
+    reaches it (see _automorphism_counts). Cached once complete; `_check` is
+    polled with each parent's progress, for a time budget. n = 9 serves the
+    opt-in theorem and structural runs; public enumeration stops at 8.
     """
     if n > 9:
         raise ValueError("isomorphism classes are built for n <= 9 only")
     cached = _ISO_CACHE.get(n)
     if cached is not None:
-        return cached
+        return cached[0]
     m = n - 1
     parents = _iso_classes(m, _check)
-    seen: set[int] = set()
+    seen: dict[int, int] = {}
     for done, packed in enumerate(parents):
         if _check is not None:
             _check(f"class build at {n} objects: {done}/{len(parents)} parent classes")
@@ -345,10 +356,29 @@ def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
                 continue
             ext = [w | (pattern >> u & 1) << m for u, w in enumerate(win)]
             ext.append((1 << m) - 1 & ~pattern)
-            seen.add(_canonical_search(ext))
+            form, aut = _canonical_search(ext)
+            seen.setdefault(form, aut)
     out = tuple(sorted(seen))
-    _ISO_CACHE[n] = out
+    _ISO_CACHE[n] = out, tuple(seen[form] for form in out)
     return out
+
+
+def _automorphism_counts(n: int, _check=None) -> tuple[int, ...]:
+    """|Aut T| of each class of _iso_classes(n), in the same order."""
+    _iso_classes(n, _check)
+    return _ISO_CACHE[n][1]
+
+
+def _orbit_masks(n: int, packed: int) -> list[int]:
+    """Sorted packed masks of every labeled game isomorphic to class `packed`:
+    n!/|Aut T| of them, found by applying all n! relabelings."""
+    ps = _pairs(n)
+    bit = {p: 1 << (len(ps) - 1 - b) for b, p in enumerate(ps)}
+    edges = [(i, j) if i_wins else (j, i) for i, j, i_wins in _unpack(n, packed)]
+    return sorted({
+        sum(bit[perm[w], perm[l]] for w, l in edges if perm[w] < perm[l])
+        for perm in itertools.permutations(range(n))
+    })
 
 
 def enumerate_tournaments(n: int, up_to_iso: bool = False) -> Iterator[Tournament]:

@@ -2,7 +2,9 @@
 even-order/structural lemmas, over all tournaments of the requested size.
 
 Reports are plain dataclasses with deterministic JSON and Markdown renderings;
-two runs produce byte-identical output. One integer elimination
+two runs produce byte-identical output. Every suite runs over isomorphism
+classes and first asserts that their orbit weights n!/|Aut T| add up to all
+2^C(n,2) labeled games. One integer elimination
 (`equilibrium.tournament_equilibrium`) decides each class's playability first,
 and only playable classes get statistics; strong connectivity is tallied
 alongside as a cross-check but never substituted for it (strongness is
@@ -41,9 +43,11 @@ from .tournament import (
     is_strong,
     landau_bound_check,
     tournament_from_canonical,
+    _automorphism_counts,
     _iso_classes,
     _k_limit,
     _k_minimizing_checker,
+    _orbit_masks,
 )
 
 BUDGET_ENV_VAR = "TOURNEYLAB_BUDGET_SECS"
@@ -154,16 +158,32 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
 
 
 def _map_jobs(
-    fn: Callable, items: list, jobs: int, deadline: _Deadline
+    fn: Callable, items: list, jobs: int, deadline: _Deadline, phase: str
 ) -> list:
+    """[fn(item) for item in items] over `jobs` workers; the budget is polled
+    every 64 classes and names `phase` and the classes done."""
     with Pool(processes=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         out = []
         results = pool.imap(fn, items, chunksize=32) if pool else map(fn, items)
         for k, res in enumerate(results):
             if k % 64 == 0:
-                deadline.check()
+                deadline.check(f"{phase}: {k}/{len(items)} classes")
             out.append(res)
         return out
+
+
+def _orbit_weights(n: int, deadline: _Deadline) -> list[int]:
+    """n!/|Aut T| for each class of _iso_classes(n): the labeled games it stands
+    for. Raises unless they add up to all 2^C(n,2) labeled games, so a run
+    over classes never reports on an incomplete enumeration."""
+    weights = [math.factorial(n) // a for a in _automorphism_counts(n, deadline.check)]
+    total = 1 << (n * (n - 1) // 2)
+    if sum(weights) != total:
+        raise RuntimeError(
+            f"class enumeration at {n} objects is incomplete: orbit weights "
+            f"sum to {sum(weights)}, not {total}"
+        )
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +341,14 @@ def verify_theorem(
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
     packed_classes = _iso_classes(objects, _check=deadline.check)
-    stats = _map_jobs(_class_stats, [(objects, c) for c in packed_classes], jobs, deadline)
+    _orbit_weights(objects, deadline)
+    stats = _map_jobs(
+        _class_stats,
+        [(objects, c) for c in packed_classes],
+        jobs,
+        deadline,
+        f"per-class statistics at {objects} objects",
+    )
     playable: list[_ClassStats] = [s for s in stats if s is not None]
     cons_canon = canonical_form(imbalanced_rps(n))
     cons = next(s for s in playable if s.packed == cons_canon)
@@ -370,8 +397,8 @@ def verify_theorem(
     # Schur: a strictly majorizing sequence has the larger variance or ties
     strict = Majorization.STRICT
     schur_violations = 0
-    for a in playable:
-        deadline.check()
+    for k, a in enumerate(playable):
+        deadline.check(f"Schur pass at {objects} objects: {k}/{len(playable)} playable classes")
         for b in playable:
             if compare_prefix_sums(a.wins_prefix, b.wins_prefix) is strict:
                 if not a.ui_v > b.ui_v:
@@ -482,43 +509,49 @@ def _even_checks(rows: list[list[int]]) -> tuple[bool, bool, bool]:
     return empty, _is_odd_square(det), pf % 2 == 1
 
 
-def _even_batch(args: tuple[int, int, int]) -> tuple[int, list]:
-    """Games checked, and (mask, checks) for each game failing a check."""
-    n, start, stop = args
-    checked = ((m, _even_checks(packed_payoff_rows(n, m))) for m in range(start, stop))
-    return stop - start, [(m, c) for m, c in checked if not all(c)]
+def _even_class(args: tuple[int, int]) -> tuple[bool, bool, bool]:
+    n, packed = args
+    return _even_checks(packed_payoff_rows(n, packed))
 
 
 def _even_bounds(max_n: int) -> None:
     if max_n < 2:
         raise ValueError("even-order exhaustion needs max_n >= 2")
-    if max_n > 6:
-        raise ValueError("even-order exhaustion is bounded at 6 objects")
+    if max_n > 8:
+        raise ValueError("even-order exhaustion is bounded at 8 objects")
 
 
 def verify_even_unplayable(
     max_n: int, jobs: int = 1, budget_secs: float | None = None
 ) -> EvenUnplayabilityReport:
     """Every labeled even tournament up to max_n: empty kernel polytope,
-    determinant an odd square, Pfaffian odd."""
+    determinant an odd square, Pfaffian odd.
+
+    Rank, determinant and Pfaffian parity do not change under relabeling
+    (Pf(PAP^T) = det P * Pf A), so each isomorphism class is checked once, by
+    one Bareiss elimination and one Pfaffian, and counts for its n!/|Aut T|
+    labeled games; these weights must sum to 2^C(n,2). A class that fails a
+    check contributes every labeled mask of its orbit to `failures`.
+    """
     _even_bounds(max_n)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     results = []
     for n in range(2, max_n + 1, 2):
-        total = 1 << (n * (n - 1) // 2)
-        step = max(total // (jobs * 8), 1)
-        batches = [(n, s, min(s + step, total)) for s in range(0, total, step)]
-        outs = _map_jobs(_even_batch, batches, jobs, deadline)
-        failed = sorted(f for _, fs in outs for f in fs)
+        classes = _iso_classes(n, _check=deadline.check)
+        weights = _orbit_weights(n, deadline)
+        checks = _map_jobs(
+            _even_class, [(n, c) for c in classes], jobs, deadline, f"even sweep at {n} objects"
+        )
+        failed = [(c, flags) for c, flags in zip(classes, checks) if not all(flags)]
         results.append(
             EvenOrderResult(
                 n=n,
-                tournament_count=sum(c for c, _ in outs),
-                all_polytopes_empty=all(c[0] for _, c in failed),
-                all_determinants_odd_squares=all(c[1] for _, c in failed),
-                all_pfaffians_odd=all(c[2] for _, c in failed),
-                failures=tuple(mask for mask, _ in failed),
+                tournament_count=sum(weights),
+                all_polytopes_empty=all(flags[0] for _, flags in failed),
+                all_determinants_odd_squares=all(flags[1] for _, flags in failed),
+                all_pfaffians_odd=all(flags[2] for _, flags in failed),
+                failures=tuple(sorted(m for c, _ in failed for m in _orbit_masks(n, c))),
             )
         )
     return EvenUnplayabilityReport(max_n=max_n, results=tuple(results))
@@ -605,22 +638,35 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, tuple[bool, boo
     return packed, is_strong(t), (landau_bound_check(t), kmin_all, max(eq))
 
 
-def _structural_bounds(n: int) -> None:
-    if n < 3 or n % 2 == 0 or n > 7:
-        raise ValueError("structural verification runs on odd 3 <= n <= 7")
+def _structural_bounds(n: int, allow_large: bool) -> None:
+    if n < 3 or n % 2 == 0 or n > 9:
+        raise ValueError("structural verification runs on odd 3 <= n <= 9")
+    if n == 9 and not allow_large:
+        raise ValueError("9-object verification is opt-in; pass allow_large (--allow-large)")
 
 
 def verify_structural_lemmas(
-    n: int, jobs: int = 1, budget_secs: float | None = None
+    n: int,
+    jobs: int = 1,
+    budget_secs: float | None = None,
+    allow_large: bool = False,
 ) -> StructuralLemmasReport:
     """Playable classes must meet the degree-prefix bounds, every k-minimizing
     condition, and the 1/3 probability cap; classes failing the k-minimizing
-    condition must be unplayable."""
-    _structural_bounds(n)
+    condition must be unplayable. n <= 7 by default; n = 9 only with
+    allow_large, and subject to the budget."""
+    _structural_bounds(n, allow_large)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     packed_classes = _iso_classes(n, _check=deadline.check)
-    rows = _map_jobs(_structural_stats, [(n, c) for c in packed_classes], jobs, deadline)
+    _orbit_weights(n, deadline)
+    rows = _map_jobs(
+        _structural_stats,
+        [(n, c) for c in packed_classes],
+        jobs,
+        deadline,
+        f"structural checks at {n} objects",
+    )
     landau_fail, kmin_fail, prob_fail = [], [], []
     strong_unplayable = []
     playable_count = strong_count = 0

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from tourneylab import canonical_form, imbalanced_rps, parse_edge_list
-from tourneylab import tournament
+from tourneylab import tournament, verify
 from tourneylab.cli import _jobs_arg, main
 
 WELL_EDGES = """\
@@ -332,7 +333,8 @@ def test_verify_budget_exceeded_exit_3(tmp_path, capsys):
 
 def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
     # with the 6-object classes cached, the first 7-object parent finds the budget spent
-    cached = {n: tournament._iso_classes(n) for n in range(1, 7)}
+    tournament._iso_classes(6)
+    cached = {n: tournament._ISO_CACHE[n] for n in range(1, 7)}
     monkeypatch.setattr(tournament, "_ISO_CACHE", cached)
     code, _, err = run_cli(
         ["verify", "theorem", "--n", "3", "--budget", "0", "--out-dir", str(tmp_path)], capsys
@@ -340,6 +342,43 @@ def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "budget exceeded: " in err
     assert "during class build at 7 objects: 0/56 parent classes" in err
+
+
+@pytest.mark.parametrize(
+    "args, objects, passed, phase",
+    [
+        (["theorem", "--n", "3"], 7, 1, "per-class statistics at 7 objects: 64/456 classes"),
+        (["structural", "--objects", "7"], 7, 1, "structural checks at 7 objects: 64/456 classes"),
+        # one poll each at 2, 4 and 6 objects, then one every 64 classes at 8
+        (["even", "--max-n", "8"], 8, 13, "even sweep at 8 objects: 640/6880 classes"),
+    ],
+    ids=["theorem", "structural", "even"],
+)
+def test_verify_budget_names_per_class_phase(tmp_path, capsys, monkeypatch, args, objects, passed, phase):
+    # the classes are cached, so the class build polls nothing; the clock reads
+    # 0 at the budget's start and its first `passed` polls, then far past it
+    tournament._iso_classes(objects)
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 1 + passed else 100.0
+
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=clock))
+    code, out, err = run_cli(["verify", *args, "--budget", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 3 and out == ""
+    assert err == f"budget exceeded: verification time budget exceeded during {phase}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_even_budget_zero_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "reports"
+    code, out, err = run_cli(
+        ["verify", "even", "--max-n", "8", "--budget", "0", "--out-dir", str(out_dir)], capsys
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: ")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
@@ -356,12 +395,14 @@ def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
     "args",
     [
         ["verify", "theorem", "--n", "5"],
-        ["verify", "even", "--max-n", "8"],
+        ["verify", "even", "--max-n", "10"],
         ["verify", "structural", "--objects", "4"],
         ["verify", "theorem", "--n", "4"],
         ["verify", "even", "--max-n", "0"],
         ["verify", "structural", "--objects", "-1"],
         ["verify", "structural", "--objects", "1"],
+        ["verify", "structural", "--objects", "9"],
+        ["verify", "structural", "--objects", "11", "--allow-large"],
     ],
 )
 def test_verify_out_of_range_exit_1(tmp_path, capsys, args):
@@ -379,7 +420,7 @@ def test_verify_all_checks_every_bound_first(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("tourneylab.cli.verify_theorem", never)
     code, out, err = run_cli(
-        ["verify", "all", "--n", "3", "--max-n", "8", "--out-dir", str(tmp_path)], capsys
+        ["verify", "all", "--n", "3", "--max-n", "10", "--out-dir", str(tmp_path)], capsys
     )
     assert code == 1 and out == ""
     assert err.startswith("error: even-order exhaustion is bounded")

@@ -21,7 +21,13 @@ from tourneylab import (
     parse_edge_list,
 )
 from tourneylab.construct import classic_cycle, imbalanced_rps
-from tourneylab.tournament import _iso_classes, _k_limit, tournament_from_canonical
+from tourneylab.tournament import (
+    _automorphism_counts,
+    _iso_classes,
+    _k_limit,
+    _orbit_masks,
+    tournament_from_canonical,
+)
 from tests.conftest import make_transitive
 
 # published counts of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
@@ -202,6 +208,29 @@ def test_iso_classes_satisfy_orbit_stabilizer(n):
         for t in enumerate_tournaments(n, up_to_iso=True)
     )
     assert orbits == 2 ** (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+def test_recorded_automorphism_counts(n):
+    # the class build's counts: brute force up to 6 objects, and at every size
+    # the orbit-stabilizer identity over all 2^C(n,2) labeled games
+    counts = _automorphism_counts(n)
+    assert len(counts) == len(_iso_classes(n))
+    if n <= 6:
+        assert counts == tuple(
+            automorphism_count(tournament_from_canonical(n, c)) for c in _iso_classes(n)
+        )
+    assert sum(math.factorial(n) // a for a in counts) == 2 ** (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_masks_partition_the_labeled_games(n):
+    orbits = [_orbit_masks(n, c) for c in _iso_classes(n)]
+    for c, orbit, aut in zip(_iso_classes(n), orbits, _automorphism_counts(n)):
+        assert len(orbit) == math.factorial(n) // aut
+        assert c in orbit
+        assert {canonical_form(tournament_from_canonical(n, m)) for m in orbit} == {c}
+    assert sorted(m for orbit in orbits for m in orbit) == list(range(2 ** (n * (n - 1) // 2)))
 
 
 def test_enumerate_deterministic():

@@ -20,7 +20,12 @@ from tourneylab import (
 from tourneylab import verify
 from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
 from tourneylab.tournament import _iso_classes, degree_profile, tournament_from_canonical
-from tourneylab.verify import _even_checks, _worker_count
+from tourneylab.verify import (
+    EvenOrderResult,
+    EvenUnplayabilityReport,
+    _even_checks,
+    _worker_count,
+)
 
 F = Fraction
 
@@ -148,9 +153,43 @@ def test_even_unplayable_small():
     assert all(not r.failures for r in rep.results)
 
 
+def brute_even_report(max_n: int) -> EvenUnplayabilityReport:
+    """The labeled sweep: verify._even_checks on every labeled even game."""
+    results = []
+    for n in range(2, max_n + 1, 2):
+        total = 1 << (n * (n - 1) // 2)
+        checked = [(m, verify._even_checks(packed_payoff_rows(n, m))) for m in range(total)]
+        failed = [(m, c) for m, c in checked if not all(c)]
+        results.append(
+            EvenOrderResult(
+                n=n,
+                tournament_count=total,
+                all_polytopes_empty=all(c[0] for _, c in failed),
+                all_determinants_odd_squares=all(c[1] for _, c in failed),
+                all_pfaffians_odd=all(c[2] for _, c in failed),
+                failures=tuple(m for m, _ in failed),
+            )
+        )
+    return EvenUnplayabilityReport(max_n=max_n, results=tuple(results))
+
+
+@pytest.mark.parametrize("max_n", [4, 6])
+def test_even_classes_match_labeled_sweep(max_n):
+    assert verify_even_unplayable(max_n).to_json_dict() == brute_even_report(max_n).to_json_dict()
+
+
+def test_even_unplayable_eight_objects():
+    rep = verify_even_unplayable(8)
+    assert rep.ok
+    assert {r.n: r.tournament_count for r in rep.results} == {
+        2: 2, 4: 64, 6: 32768, 8: 268435456
+    }
+    assert all(not r.failures for r in rep.results)
+
+
 def test_even_unplayable_bound_and_jobs():
     with pytest.raises(ValueError):
-        verify_even_unplayable(8)
+        verify_even_unplayable(10)
     serial = verify_even_unplayable(4, jobs=1)
     parallel = verify_even_unplayable(4, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
@@ -215,6 +254,30 @@ def test_structural_validation():
         verify_structural_lemmas(4)
     with pytest.raises(ValueError):
         verify_structural_lemmas(9)
+    with pytest.raises(ValueError):
+        verify_structural_lemmas(11, allow_large=True)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_theorem(2),
+        lambda: verify_structural_lemmas(5),
+        lambda: verify_even_unplayable(4),
+    ],
+    ids=["theorem", "structural", "even"],
+)
+def test_class_runs_refuse_an_incomplete_enumeration(monkeypatch, run):
+    # one class's |Aut T| doubled: its orbit weight halves and the sum falls short
+    real = verify._automorphism_counts
+
+    def short(n, _check=None):
+        counts = real(n, _check)
+        return (2 * counts[0],) + counts[1:]
+
+    monkeypatch.setattr(verify, "_automorphism_counts", short)
+    with pytest.raises(RuntimeError, match="incomplete"):
+        run()
 
 
 def test_reports_render():
@@ -271,15 +334,14 @@ def test_budget_env_var_validation(monkeypatch):
 
 
 def test_even_report_flags_follow_their_own_checks(monkeypatch):
-    import tourneylab.verify as verify
-
-    # pretend only the determinant check fails, and only when 1 loses to 0
-    monkeypatch.setattr(verify, "_even_checks", lambda rows: (True, rows[0][1] == 1, True))
+    # pretend only the determinant check fails, and only when some object wins
+    # no game: a property of the class, so every game of its orbit fails
+    monkeypatch.setattr(verify, "_even_checks", lambda rows: (True, all(1 in r for r in rows), True))
     rep = verify_even_unplayable(4)
     assert not rep.ok
-    for r in rep.results:
+    brute = brute_even_report(4)
+    for r, b in zip(rep.results, brute.results):
         flags = (r.all_polytopes_empty, r.all_determinants_odd_squares, r.all_pfaffians_odd)
         assert flags == (True, False, True)
-        # the pair (0, 1) is the most significant bit of the mask
-        top = 1 << (r.n * (r.n - 1) // 2 - 1)
-        assert r.failures == tuple(range(top))
+        assert r.failures == b.failures
+    assert [len(r.failures) for r in rep.results] == [2, 32]
