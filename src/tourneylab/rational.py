@@ -154,6 +154,28 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int], in
     return a, piv_cols, sign
 
 
+def _back_substitute(
+    a: list[list[int]], piv_cols: list[int], x: list[Fraction], rhs: bool = False
+) -> list[Fraction]:
+    """Fill the pivot entries of x in place from the echelon rows of `a`, its free
+    entries given; the right-hand side is column len(x) of `a` if `rhs`, else 0."""
+    n_cols = len(x)
+    for r, pc in reversed(list(enumerate(piv_cols))):
+        s = sum(Fraction(a[r][j]) * x[j] for j in range(pc + 1, n_cols) if x[j])
+        x[pc] = (Fraction(a[r][n_cols] if rhs else 0) - s) / a[r][pc]
+    return x
+
+
+def _null_basis(a: list[list[int]], piv_cols: list[int], n_cols: int) -> list[Vector]:
+    """kernel_basis of the first n_cols columns of an echelon form."""
+    basis: list[Vector] = []
+    for fc in (c for c in range(n_cols) if c not in piv_cols):
+        v = _back_substitute(a, piv_cols, [Fraction(c == fc) for c in range(n_cols)])
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
 def kernel_basis(M: RationalMatrix) -> list[Vector]:
     """Exact null-space basis via Bareiss elimination.
 
@@ -162,19 +184,7 @@ def kernel_basis(M: RationalMatrix) -> list[Vector]:
     """
     a, _ = _integer_rows(M)
     a, piv_cols, _ = _bareiss_echelon(a)
-    n_cols = M.cols
-    free = [c for c in range(n_cols) if c not in piv_cols]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[r]
-            s = sum(Fraction(a[r][j]) * v[j] for j in range(pc + 1, n_cols) if v[j])
-            v[pc] = -s / a[r][pc]
-        lead = next(x for x in v if x != 0)
-        basis.append(tuple(x / lead for x in v))
-    return basis
+    return _null_basis(a, piv_cols, M.cols)
 
 
 def rank(M: RationalMatrix) -> int:
@@ -198,7 +208,11 @@ def determinant(M: RationalMatrix) -> Fraction:
 def solve_affine(
     M: RationalMatrix, b: Sequence[Fraction]
 ) -> tuple[Vector, list[Vector]] | None:
-    """Solution set of M x = b as (particular, kernel basis); None if inconsistent."""
+    """Solution set of M x = b as (particular, kernel basis); None if inconsistent.
+
+    One elimination of [M | b] gives both: consistent means the last column
+    holds no pivot, so the pivots are M's own.
+    """
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
     aug = RationalMatrix(
@@ -206,15 +220,11 @@ def solve_affine(
     )
     a, _ = _integer_rows(aug)
     a, piv_cols, _ = _bareiss_echelon(a)
-    n_cols = M.cols
-    if n_cols in piv_cols:
+    if M.cols in piv_cols:
         return None
-    x = [Fraction(0)] * n_cols
-    for r in range(len(piv_cols) - 1, -1, -1):
-        pc = piv_cols[r]
-        s = sum(Fraction(a[r][j]) * x[j] for j in range(pc + 1, n_cols) if x[j])
-        x[pc] = (Fraction(a[r][n_cols]) - s) / a[r][pc]
-    return tuple(x), kernel_basis(M)
+    # row scaling and the extra column leave M's pivots and null space alone
+    x = _back_substitute(a, piv_cols, [Fraction(0)] * M.cols, rhs=True)
+    return tuple(x), _null_basis(a, piv_cols, M.cols)
 
 
 def _pfaffian_expand(e: Sequence[Sequence]) -> Fraction | int:

@@ -110,25 +110,31 @@ def from_edge_list(
     """Build a validated tournament from (winner, loser) pairs.
 
     Every unordered pair must appear exactly once; duplicates, contradictory
-    orientations, self-loops, and missing pairs are errors.
+    orientations, self-loops, and missing pairs are errors, found before the
+    n x n grid is built, so that a large n alone costs no memory.
     """
     if n < 1:
         raise ValueError("tournament needs at least one vertex")
-    beats = [[False] * n for _ in range(n)]
+    given: set[tuple[int, int]] = set()
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             raise ValueError(f"self-loop at vertex {i}")
-        if beats[i][j]:
+        if (i, j) in given:
             raise ValueError(f"duplicate edge ({i},{j})")
-        if beats[j][i]:
+        if (j, i) in given:
             raise ValueError(f"contradictory pair: both ({j},{i}) and ({i},{j}) given")
+        given.add((i, j))
+    if len(given) < n * (n - 1) // 2:
+        # the first missing pair in row-major order, within len(given) + 1 pairs
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) not in given and (j, i) not in given:
+                    raise ValueError(f"missing orientation for pair ({i},{j})")
+    beats = [[False] * n for _ in range(n)]
+    for i, j in given:
         beats[i][j] = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not beats[i][j] and not beats[j][i]:
-                raise ValueError(f"missing orientation for pair ({i},{j})")
     return Tournament(n, beats, labels)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from .construct import imbalanced_rps
-from .equilibrium import equilibrium_polytope, packed_payoff_rows, tournament_equilibrium
+from .equilibrium import packed_payoff_rows, tournament_equilibrium
 from .imbalance import (
     Majorization,
     compare_prefix_sums,
@@ -36,7 +36,7 @@ from .imbalance import (
     uniform_profile,
     ui_variance,
 )
-from .rational import RationalMatrix, Vector, _bareiss_echelon, _pfaffian_expand
+from .rational import Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
     canonical_form,
     degree_profile,
@@ -157,33 +157,33 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
     )
 
 
-def _map_jobs(
-    fn: Callable, items: list, jobs: int, deadline: _Deadline, phase: str
-) -> list:
-    """[fn(item) for item in items] over `jobs` workers; the budget is polled
-    every 64 classes and names `phase` and the classes done."""
+def _class_sweep(
+    sizes: Sequence[int], fn: Callable, jobs: int, deadline: _Deadline, phase: str
+) -> list[tuple[tuple[int, ...], list]]:
+    """(classes, [fn((n, c)) for c in classes]) for each n in `sizes`, over one
+    pool of `jobs` workers. Raises unless the orbit weights n!/|Aut T| add up to
+    all 2^C(n,2) labeled games, so a run never reports on an incomplete
+    enumeration; the budget is polled every 64 classes and names `phase`."""
+    out = []
     with Pool(processes=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        out = []
-        results = pool.imap(fn, items, chunksize=32) if pool else map(fn, items)
-        for k, res in enumerate(results):
-            if k % 64 == 0:
-                deadline.check(f"{phase}: {k}/{len(items)} classes")
-            out.append(res)
-        return out
-
-
-def _orbit_weights(n: int, deadline: _Deadline) -> list[int]:
-    """n!/|Aut T| for each class of _iso_classes(n): the labeled games it stands
-    for. Raises unless they add up to all 2^C(n,2) labeled games, so a run
-    over classes never reports on an incomplete enumeration."""
-    weights = [math.factorial(n) // a for a in _automorphism_counts(n, deadline.check)]
-    total = 1 << (n * (n - 1) // 2)
-    if sum(weights) != total:
-        raise RuntimeError(
-            f"class enumeration at {n} objects is incomplete: orbit weights "
-            f"sum to {sum(weights)}, not {total}"
-        )
-    return weights
+        for n in sizes:
+            classes = _iso_classes(n, _check=deadline.check)
+            weight = sum(math.factorial(n) // a for a in _automorphism_counts(n, deadline.check))
+            total = 1 << (n * (n - 1) // 2)
+            if weight != total:
+                raise RuntimeError(
+                    f"class enumeration at {n} objects is incomplete: orbit weights "
+                    f"sum to {weight}, not {total}"
+                )
+            items = [(n, c) for c in classes]
+            mapped = pool.imap(fn, items, chunksize=32) if pool else map(fn, items)
+            results = []
+            for k, res in enumerate(mapped):
+                if k % 64 == 0:
+                    deadline.check(f"{phase} at {n} objects: {k}/{len(items)} classes")
+                results.append(res)
+            out.append((classes, results))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +340,8 @@ def verify_theorem(
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
-    packed_classes = _iso_classes(objects, _check=deadline.check)
-    _orbit_weights(objects, deadline)
-    stats = _map_jobs(
-        _class_stats,
-        [(objects, c) for c in packed_classes],
-        jobs,
-        deadline,
-        f"per-class statistics at {objects} objects",
+    [(packed_classes, stats)] = _class_sweep(
+        [objects], _class_stats, jobs, deadline, "per-class statistics"
     )
     playable: list[_ClassStats] = [s for s in stats if s is not None]
     cons_canon = canonical_form(imbalanced_rps(n))
@@ -498,15 +492,13 @@ def _is_odd_square(x: int) -> bool:
 
 def _even_checks(rows: list[list[int]]) -> tuple[bool, bool, bool]:
     """(polytope empty, det an odd square, Pfaffian odd) for one even skew integer
-    matrix: rank and det from one Bareiss pass, the Pfaffian by its own expansion."""
+    matrix: rank and det from one Bareiss pass, the Pfaffian by its own expansion.
+    Full rank means a trivial kernel, which meets no point of the simplex; a
+    singular input (never a tournament) fails the determinant check too."""
     pf = _pfaffian_expand(rows)
     a, piv_cols, sign = _bareiss_echelon([row[:] for row in rows])
-    if len(piv_cols) == len(rows):
-        # full rank: trivial kernel, so no point of the simplex
-        empty, det = True, sign * a[-1][-1]
-    else:
-        empty, det = equilibrium_polytope(RationalMatrix(rows)).is_empty, 0
-    return empty, _is_odd_square(det), pf % 2 == 1
+    full = len(piv_cols) == len(rows)
+    return full, _is_odd_square(sign * a[-1][-1] if full else 0), pf % 2 == 1
 
 
 def _even_class(args: tuple[int, int]) -> tuple[bool, bool, bool]:
@@ -536,18 +528,16 @@ def verify_even_unplayable(
     _even_bounds(max_n)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
+    sizes = range(2, max_n + 1, 2)
     results = []
-    for n in range(2, max_n + 1, 2):
-        classes = _iso_classes(n, _check=deadline.check)
-        weights = _orbit_weights(n, deadline)
-        checks = _map_jobs(
-            _even_class, [(n, c) for c in classes], jobs, deadline, f"even sweep at {n} objects"
-        )
+    for n, (classes, checks) in zip(
+        sizes, _class_sweep(sizes, _even_class, jobs, deadline, "even sweep")
+    ):
         failed = [(c, flags) for c, flags in zip(classes, checks) if not all(flags)]
         results.append(
             EvenOrderResult(
                 n=n,
-                tournament_count=sum(weights),
+                tournament_count=1 << (n * (n - 1) // 2),
                 all_polytopes_empty=all(flags[0] for _, flags in failed),
                 all_determinants_odd_squares=all(flags[1] for _, flags in failed),
                 all_pfaffians_odd=all(flags[2] for _, flags in failed),
@@ -658,15 +648,7 @@ def verify_structural_lemmas(
     _structural_bounds(n, allow_large)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
-    packed_classes = _iso_classes(n, _check=deadline.check)
-    _orbit_weights(n, deadline)
-    rows = _map_jobs(
-        _structural_stats,
-        [(n, c) for c in packed_classes],
-        jobs,
-        deadline,
-        f"structural checks at {n} objects",
-    )
+    [(_, rows)] = _class_sweep([n], _structural_stats, jobs, deadline, "structural checks")
     landau_fail, kmin_fail, prob_fail = [], [], []
     strong_unplayable = []
     playable_count = strong_count = 0

@@ -261,6 +261,29 @@ def test_solve_affine_consistency():
     assert len(null) == 1
 
 
+def test_solve_affine_kernel_from_the_same_elimination():
+    # rank-deficient integer M = A B (inner size below the column count), and
+    # b = M y, so M x = b is consistent with a nontrivial kernel
+    rng = random.Random(1101)
+    for _ in range(60):
+        r, c = rng.randrange(1, 7), rng.randrange(2, 7)
+        inner = rng.randrange(1, c)
+        a = [[rng.randrange(-3, 4) for _ in range(inner)] for _ in range(r)]
+        b = [[rng.randrange(-3, 4) for _ in range(c)] for _ in range(inner)]
+        m = RationalMatrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a])
+        rhs = m.matvec([F(rng.randrange(-3, 4)) for _ in range(c)])
+        x, null = solve_affine(m, rhs)
+        assert null == kernel_basis(m)
+        assert m.matvec(x) == rhs
+        assert all(type(e) is Fraction for v in (x, *null) for e in v)
+
+
+def test_kernel_entries_stay_exact():
+    # the pivot row of column 1 has nothing to its right
+    [v] = kernel_basis(RationalMatrix([[0, 1], [0, 0]]))
+    assert v == (F(1), F(0)) and all(type(e) is Fraction for e in v)
+
+
 # ---------------------------------------------------------------------------
 # pfaffian
 # ---------------------------------------------------------------------------

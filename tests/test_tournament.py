@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -95,6 +96,18 @@ def test_from_edge_list_two_vertices():
 def test_from_edge_list_errors(edges, message):
     with pytest.raises(ValueError, match=message):
         from_edge_list(3, edges)
+
+
+def test_missing_pairs_are_found_before_the_grid_is_built():
+    # a 3000 x 3000 grid alone would take about 72 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListParseError, match=r"missing orientation for pair \(0,2\)"):
+            parse_edge_list("3000\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_parse_and_format_round_trip(rps_well):

@@ -8,6 +8,8 @@ from tourneylab import (
     BudgetExceededError,
     GuardBandError,
     Majorization,
+    blow_up,
+    blow_up_equilibrium,
     canonical_form,
     compare_entropies,
     imbalanced_equilibrium_closed_form,
@@ -117,6 +119,22 @@ def test_nine_object_equilibrium_majorization_witness():
     assert majorizes(sorted(cons, reverse=True), seq) is Majorization.NO
 
 
+def test_equilibrium_majorization_fails_at_every_odd_size_by_blow_up():
+    # blow the construction's s up by the 7-object witness: the equilibrium is
+    # the construction's first 2k entries then the witness's scaled by 3^-k,
+    # and the (2k+7)-object construction's sequence does not majorize it
+    witness = tournament_from_canonical(7, 103560)
+    w_eq = tournament_equilibrium(payoff_rows(witness))
+    for k in range(1, 23):
+        t = blow_up(imbalanced_rps(k), "s", witness)
+        eq = tournament_equilibrium(payoff_rows(t))
+        assert eq == blow_up_equilibrium(imbalanced_equilibrium_closed_form(k), 2 * k, w_eq)
+        assert all(x > 0 for x in eq)
+        assert majorizes(imbalanced_equilibrium_closed_form(k + 3), eq) is Majorization.NO
+        if k == 1:
+            assert canonical_form(t) == 281350272
+
+
 def test_theorem_large_requires_opt_in():
     with pytest.raises(ValueError):
         verify_theorem(4)
@@ -193,6 +211,21 @@ def test_even_unplayable_bound_and_jobs():
     serial = verify_even_unplayable(4, jobs=1)
     parallel = verify_even_unplayable(4, jobs=2)
     assert serial.to_json_dict() == parallel.to_json_dict()
+
+
+def test_even_sweep_starts_one_pool_for_every_order(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    real = verify.Pool
+
+    def counting_pool(*args, **kwargs):
+        started.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "Pool", counting_pool)
+    parallel = verify_even_unplayable(6, jobs=2)
+    assert parallel.to_json_dict() == verify_even_unplayable(6, jobs=1).to_json_dict()
+    assert started == [{"processes": 2}]  # one for 2, 4 and 6 objects; none serial
 
 
 def test_structural_n5_counts():
