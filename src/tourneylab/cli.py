@@ -231,8 +231,7 @@ def _cmd_analyze(args) -> int:
     if args.md:
         sys.stdout.write(analysis_markdown(doc))
     else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     playable = doc["playability"]["class"] == Playability.STRONGLY_PLAYABLE.value
     return EXIT_OK if playable else EXIT_UNPLAYABLE
 
@@ -257,8 +256,7 @@ def _cmd_generate(args) -> int:
             "edges": [list(e) for e in t.edges()],
             "equilibrium": _vec_field(equilibrium),
         }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return EXIT_OK
     sys.stdout.write(format_edge_list(t))
     for label, prob in zip(t.labels, equilibrium):

@@ -104,15 +104,49 @@ def _from_vertices(
     return EquilibriumPolytope(A, kdim, tuple(vertices), interior, mask)
 
 
+def _embed(n: int, support: Sequence[int], values: Sequence, zero=Fraction(0)) -> tuple:
+    """The length-n vector holding values on support and zero elsewhere."""
+    full = [zero] * n
+    for j, x in zip(support, values):
+        full[j] = x
+    return tuple(full)
+
+
+def _support_system(
+    A: RationalMatrix, support: Sequence[int]
+) -> tuple[Vector, list[Vector]] | None:
+    """Solution set of [A_S ; 1]·x = [0 ; 1] over the columns S in support."""
+    rows = [[row[j] for j in support] for row in A.entries]
+    rows.append([Fraction(1)] * len(support))
+    return solve_affine(RationalMatrix(rows), [Fraction(0)] * A.rows + [Fraction(1)])
+
+
+def _support_systems(
+    A: RationalMatrix,
+) -> Iterator[tuple[tuple[int, ...], Vector, list[Vector]]]:
+    """(support, particular, null basis) for each column subset, smallest
+    first, whose support system is consistent; at most 2**SUPPORT_ENUM_LIMIT."""
+    n = A.cols
+    if n > SUPPORT_ENUM_LIMIT:
+        raise ValueError(
+            f"support enumeration bounded at n <= {SUPPORT_ENUM_LIMIT}, got {n}"
+        )
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            solved = _support_system(A, support)
+            if solved is not None:
+                yield (support, *solved)
+
+
 def equilibrium_polytope(A: RationalMatrix) -> EquilibriumPolytope:
     """Exact ker(A) ∩ simplex.
 
     Kernel dimension 0 or 1 is resolved directly; higher dimensions fall back
-    to support-subset vertex enumeration, bounded at 2**SUPPORT_ENUM_LIMIT.
+    to support-subset vertex enumeration: a vertex is the unique, nonnegative
+    solution of its support's system.
     """
     basis = kernel_basis(A)
     kdim = len(basis)
-    n = A.cols
     if kdim == 0:
         return _empty_polytope(A, 0)
     if kdim == 1:
@@ -124,30 +158,11 @@ def equilibrium_polytope(A: RationalMatrix) -> EquilibriumPolytope:
         if any(x < 0 for x in point):
             return _empty_polytope(A, 1)
         return _from_vertices(A, 1, [point])
-    if n > SUPPORT_ENUM_LIMIT:
-        raise ValueError(
-            f"support enumeration bounded at n <= {SUPPORT_ENUM_LIMIT}, got {n}"
-        )
-    vertices: list[Vector] = []
-    rows = [list(row) for row in A.entries]
-    for size in range(1, n + 1):
-        for support in itertools.combinations(range(n), size):
-            sub = RationalMatrix(
-                [[row[j] for j in support] for row in rows] + [[Fraction(1)] * size]
-            )
-            rhs = [Fraction(0)] * A.rows + [Fraction(1)]
-            solved = solve_affine(sub, rhs)
-            if solved is None:
-                continue
-            particular, null = solved
-            if null:
-                continue  # not a basic solution for this support
-            if any(x < 0 for x in particular):
-                continue
-            full = [Fraction(0)] * n
-            for j, x in zip(support, particular):
-                full[j] = x
-            vertices.append(tuple(full))
+    vertices = [
+        _embed(A.cols, support, x)
+        for support, x, null in _support_systems(A)
+        if not null and min(x) >= 0
+    ]
     return _from_vertices(A, kdim, vertices)
 
 
@@ -227,63 +242,42 @@ def _vertex_enumerate(
     return sorted(vertices)
 
 
-def _mixed_dominator(t: Tournament, i: int, mode: str) -> Vector | None:
-    """Best convex combination of the other rows against row i, or None."""
-    A = payoff_matrix(t)
-    n = t.n
+def _mixed_dominator(rows: list[list[int]], i: int, mode: str) -> Vector | None:
+    """Best convex combination of the other rows against row i, or None.
+
+    One LP over the weights w of the other rows, plus a margin column t in
+    strict mode only: w >= 0, sum(w) = 1 and sum_k w_k A[k][j] - t >= A[i][j]
+    for every column j. Weak mode maximizes the total slack, strict mode the
+    margin; a dominator exists iff the best vertex's value is positive.
+    """
+    n = len(rows)
     others = [k for k in range(n) if k != i]
+    if not others:
+        return None  # a lone object has nothing to be dominated by
     d = len(others)
-    row_i = A.entries[i]
-    # variables: weights over `others` (+ a slack level t for strict mode)
-    if mode == "weak":
-        eqs = [([Fraction(1)] * d, Fraction(1))]
-        ineqs = [
-            ([Fraction(1) if p == q else Fraction(0) for p in range(d)], Fraction(0))
-            for q in range(d)
-        ]
-        for j in range(n):
-            ineqs.append(([A.entries[k][j] for k in others], row_i[j]))
-        verts = _vertex_enumerate(eqs, ineqs, d)
-        best: tuple[Fraction, Vector] | None = None
-        for w in verts:
-            slack = sum(
-                sum(wk * A.entries[k][j] for wk, k in zip(w, others)) - row_i[j]
-                for j in range(n)
-            )
-            if best is None or slack > best[0]:
-                best = (slack, w)
-        if best is None or best[0] <= 0:
-            return None
-        weights = best[1]
-    else:  # strict: maximize the worst margin
-        dim = d + 1  # (w, t)
-        eqs = [([Fraction(1)] * d + [Fraction(0)], Fraction(1))]
-        ineqs = [
-            (
-                [Fraction(1) if p == q else Fraction(0) for p in range(d)] + [Fraction(0)],
-                Fraction(0),
-            )
-            for q in range(d)
-        ]
-        for j in range(n):
-            ineqs.append(
-                ([A.entries[k][j] for k in others] + [Fraction(-1)], row_i[j])
-            )
+    margin = 1 if mode == "strict" else 0  # columns for t
+
+    def constraint(weights: Sequence[int], t: int, bound: int):
+        return [Fraction(w) for w in weights] + [Fraction(t)] * margin, Fraction(bound)
+
+    eqs = [constraint([1] * d, 0, 1)]
+    ineqs = [constraint([int(p == q) for p in range(d)], 0, 0) for q in range(d)]
+    ineqs += [constraint([rows[k][j] for k in others], -1, rows[i][j]) for j in range(n)]
+    if margin:
         # payoffs lie in [-1, 1] so the margin is within [-3, 3]
-        ineqs.append(([Fraction(0)] * d + [Fraction(1)], Fraction(-3)))
-        ineqs.append(([Fraction(0)] * d + [Fraction(-1)], Fraction(-3)))
-        verts = _vertex_enumerate(eqs, ineqs, dim)
-        best = None
-        for x in verts:
-            if best is None or x[d] > best[0]:
-                best = (x[d], x[:d])
-        if best is None or best[0] <= 0:
-            return None
-        weights = best[1]
-    full = [Fraction(0)] * n
-    for wk, k in zip(weights, others):
-        full[k] = wk
-    return tuple(full)
+        ineqs += [constraint([0] * d, 1, -3), constraint([0] * d, -1, -3)]
+
+    def value(x: Vector) -> Fraction:
+        if margin:
+            return x[d]
+        return sum(
+            sum(w * rows[k][j] for w, k in zip(x, others)) - rows[i][j] for j in range(n)
+        )
+
+    best = max(_vertex_enumerate(eqs, ineqs, d + margin), key=value, default=None)
+    if best is None or value(best) <= 0:
+        return None
+    return _embed(n, others, best[:d])
 
 
 def _pure_dominated(rows: list[list[int]], mode: str) -> Iterator[tuple[int, int]]:
@@ -317,9 +311,10 @@ def find_dominated(
         raise ValueError("mode must be 'weak' or 'strict'")
     if against not in ("pure", "mixed"):
         raise ValueError("against must be 'pure' or 'mixed'")
+    rows = payoff_rows(t)
     if against == "pure":
-        return list(_pure_dominated(payoff_rows(t), mode))
-    mixed = ((i, _mixed_dominator(t, i, mode)) for i in range(t.n))
+        return list(_pure_dominated(rows, mode))
+    mixed = ((i, _mixed_dominator(rows, i, mode)) for i in range(t.n))
     return [(i, w) for i, w in mixed if w is not None]
 
 
@@ -327,50 +322,28 @@ def find_dominated(
 # worst-case equilibrium selection
 # ---------------------------------------------------------------------------
 
+def _least_norm(x0: Vector, null: list[Vector]) -> Vector:
+    """The point of x0 + span(null) nearest the origin, by the normal equations."""
+    if not null:
+        return x0
+    gram = RationalMatrix([[sum(a * b for a, b in zip(u, v)) for v in null] for u in null])
+    sol = solve_affine(gram, [-sum(a * b for a, b in zip(u, x0)) for u in null])
+    assert sol is not None and not sol[1]  # Gram of a basis is PD
+    return tuple(
+        xi + sum(tk * nk[p] for tk, nk in zip(sol[0], null)) for p, xi in enumerate(x0)
+    )
+
+
 def _min_ties_point(P: EquilibriumPolytope) -> Vector:
-    """Exact minimizer of sum(v**2) by support enumeration + affine projection."""
-    A = P.matrix
-    n = A.cols
-    if n > SUPPORT_ENUM_LIMIT:
-        raise ValueError(f"support enumeration bounded at n <= {SUPPORT_ENUM_LIMIT}")
-    best: tuple[Fraction, Vector] | None = None
-    rows = [list(row) for row in A.entries]
-    for size in range(1, n + 1):
-        for support in itertools.combinations(range(n), size):
-            sub = RationalMatrix(
-                [[row[j] for j in support] for row in rows] + [[Fraction(1)] * size]
-            )
-            rhs = [Fraction(0)] * A.rows + [Fraction(1)]
-            solved = solve_affine(sub, rhs)
-            if solved is None:
-                continue
-            x0, null = solved
-            if null:
-                # minimize ||x0 + N t||^2: normal equations over the null basis
-                gram = RationalMatrix(
-                    [[sum(a * b for a, b in zip(u, v)) for v in null] for u in null]
-                )
-                rhs_t = [-sum(a * b for a, b in zip(u, x0)) for u in null]
-                sol = solve_affine(gram, rhs_t)
-                assert sol is not None and not sol[1]  # Gram of a basis is PD
-                tstar = sol[0]
-                x = tuple(
-                    xi + sum(tk * nk[p] for tk, nk in zip(tstar, null))
-                    for p, xi in enumerate(x0)
-                )
-            else:
-                x = x0
-            if any(xi < 0 for xi in x):
-                continue
-            value = sum(xi * xi for xi in x)
-            candidate = [Fraction(0)] * n
-            for j, xi in zip(support, x):
-                candidate[j] = xi
-            key = (value, tuple(candidate))
-            if best is None or key < (best[0], best[1]):
-                best = (value, tuple(candidate))
-    assert best is not None  # nonempty polytope always yields its vertices
-    return best[1]
+    """Exact minimizer of sum(v**2): each support's solution set is projected
+    onto its least-norm point, and the least (sum(v**2), vector) key wins."""
+    n = P.matrix.cols
+    points = ((s, _least_norm(x0, null)) for s, x0, null in _support_systems(P.matrix))
+    return min(
+        (sum(x * x for x in point), _embed(n, s, point))
+        for s, point in points
+        if min(point) >= 0
+    )[1]
 
 
 def _max_entropy_point(P: EquilibriumPolytope) -> tuple[float, ...]:
@@ -379,27 +352,16 @@ def _max_entropy_point(P: EquilibriumPolytope) -> tuple[float, ...]:
     The hull is the kernel slice restricted to the support coordinates;
     off-support coordinates are zero at every equilibrium and stay pinned.
     """
-    A = P.matrix
-    n = A.cols
+    n = P.matrix.cols
     support = [i for i in range(n) if P.support_mask[i]]
-    rows = [[row[j] for j in support] for row in A.entries]
-    rows.append([Fraction(1)] * len(support))
-    rhs = [Fraction(0)] * A.rows + [Fraction(1)]
-    solved = solve_affine(RationalMatrix(rows), rhs)
+    solved = _support_system(P.matrix, support)
     assert solved is not None
     _, null = solved
     assert P.interior_point is not None
     v = [float(P.interior_point[j]) for j in support]
     m = len(support)
-
-    def assemble(vals: Sequence[float]) -> tuple[float, ...]:
-        full = [0.0] * n
-        for j, x in zip(support, vals):
-            full[j] = x
-        return tuple(full)
-
     if not null:
-        return assemble(v)
+        return _embed(n, support, v, 0.0)
     basis = [[float(x) for x in b] for b in null]
     d = len(basis)
     floor = 1e-15
@@ -435,7 +397,7 @@ def _max_entropy_point(P: EquilibriumPolytope) -> tuple[float, ...]:
             scale *= 0.5
         if not improved:
             break
-    return assemble(v)
+    return _embed(n, support, v, 0.0)
 
 
 def _entropy_float(v: Sequence[float], floor: float) -> float:

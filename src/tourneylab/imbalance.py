@@ -55,9 +55,7 @@ def ui_variance(p: UniformPayoffProfile) -> Fraction:
 
 def ui_entropy(p: UniformPayoffProfile) -> float:
     """Shannon entropy (nats) of the score distribution."""
-    return -sum(
-        float(m) * math.log(float(m)) for m in p.score_distribution.values()
-    ) + 0.0
+    return nash_entropy(p.score_distribution.values())
 
 
 def ui_theil(p: UniformPayoffProfile, alpha: Fraction) -> float:

@@ -141,18 +141,19 @@ def from_edge_list(
 def parse_edge_list(text: str) -> Tournament:
     """Parse the shared text format: first line n, then one "i j" per line.
 
-    ``#`` starts a comment; ``# label <index> <name>`` comments attach labels.
+    ``#`` starts a comment; ``# label <index> <name>`` comments attach labels,
+    and each index must lie in [0, n).
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    labels: dict[int, str] = {}
+    label_comments: list[tuple[int, int, str]] = []  # (line, index, name)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 3 and parts[0] == "label":
                 try:
-                    labels[int(parts[1])] = parts[2]
+                    label_comments.append((lineno, int(parts[1]), parts[2]))
                 except ValueError:
                     raise EdgeListParseError("bad label comment", lineno) from None
             continue
@@ -177,8 +178,15 @@ def parse_edge_list(text: str) -> Tournament:
             raise EdgeListParseError("edge endpoints must be integers", lineno) from None
     if n is None:
         raise EdgeListParseError("empty input: no vertex count")
+    labels: dict[int, str] = {}
+    for lineno, i, name in label_comments:
+        if not 0 <= i < n:
+            raise EdgeListParseError(f"label index {i} out of range for n={n}", lineno)
+        labels[i] = name
+    # fewer edges than pairs cannot make a tournament, so from_edge_list raises
+    # before it reads labels: the n-long list is built only when it could be used
     label_seq = None
-    if labels:
+    if labels and len(edges) >= n * (n - 1) // 2:
         label_seq = [labels.get(i, str(i)) for i in range(n)]
     try:
         return from_edge_list(n, edges, label_seq)

@@ -89,6 +89,14 @@ def test_analyze_parse_error_exit_1(tmp_path, capsys):
     assert code == 1 and "line 2" in err
 
 
+def test_analyze_out_of_range_label_exit_1(tmp_path, capsys):
+    path = tmp_path / "label.edges"
+    path.write_text("3\n0 1\n# label 3 x\n1 2\n2 0\n")
+    code, out, err = run_cli(["analyze", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: line 3: label index 3 out of range for n=3\n"
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(["analyze", "/nonexistent/file.edges"], capsys)
     assert code == 1 and "cannot read" in err

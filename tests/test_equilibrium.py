@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from tourneylab import (
     enumerate_tournaments,
     equilibrium_polytope,
     find_dominated,
+    from_edge_list,
     is_strong,
+    kernel_basis,
     payoff_matrix,
     worst_case_equilibrium,
 )
@@ -121,6 +124,34 @@ def test_polytope_vertices_satisfy_constraints():
             assert all(x >= 0 for x in v)
 
 
+def test_random_polytopes_have_basic_vertices_and_a_least_norm_point():
+    # rational matrices of at most 5 columns: many of their polytopes have
+    # several vertices, so min_ties projects onto a least-norm point
+    rng = random.Random(12)
+    several = 0
+    for _ in range(80):
+        cols = rng.randint(2, 5)
+        a = RationalMatrix(
+            [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(cols)]
+             for _ in range(rng.randint(1, cols))]
+        )
+        p = equilibrium_polytope(a)
+        zero = (F(0),) * a.rows
+        for v in p.vertices:
+            assert a.matvec(v) == zero and sum(v) == 1 and min(v) >= 0
+            support = [j for j in range(cols) if v[j]]
+            system = [[row[j] for j in support] for row in a.entries]
+            assert not kernel_basis(RationalMatrix(system + [[1] * len(support)]))
+        if p.is_empty:
+            continue
+        several += len(p.vertices) > 1
+        m, exact = worst_case_equilibrium(p, "min_ties")
+        assert exact and a.matvec(m) == zero and sum(m) == 1 and min(m) >= 0
+        value = sum(x * x for x in m)
+        assert all(value <= sum(x * x for x in v) for v in p.vertices)
+    assert several >= 10
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -218,6 +249,42 @@ def test_dominated_transitive_weak_mixed(transitive3):
 def test_dominated_rps_well_weak_mixed(rps_well):
     hits = find_dominated(rps_well, "weak", "mixed")
     assert 0 in [i for i, _ in hits]
+
+
+@pytest.fixture
+def mixed_strict5():
+    """A 5-object class whose strict mixed dominator has three nonzero weights."""
+    edges = [(1, 0), (2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 3)]
+    return from_edge_list(5, edges)
+
+
+@pytest.mark.parametrize(
+    "game, weak, strict",
+    [
+        (
+            "transitive3",
+            [(1, (F(1), F(0), F(0))), (2, (F(1), F(0), F(0)))],
+            [(2, (F(1), F(0), F(0)))],
+        ),
+        ("rps_well", [(0, (F(0), F(0), F(0), F(1)))], []),
+        (
+            "mixed_strict5",
+            [(0, (F(0), F(0), F(0), F(0), F(1))), (1, (F(0), F(0), F(0), F(0), F(1)))],
+            [(0, (F(0), F(0), F(1, 3), F(1, 3), F(1, 3)))],
+        ),
+    ],
+)
+def test_dominated_mixed_exact_weights(game, weak, strict, request):
+    t = request.getfixturevalue(game)
+    assert find_dominated(t, "weak", "mixed") == weak
+    assert find_dominated(t, "strict", "mixed") == strict
+
+
+def test_dominated_lone_object_has_no_dominator():
+    lone = from_edge_list(1, [])
+    for mode in ("weak", "strict"):
+        for against in ("pure", "mixed"):
+            assert find_dominated(lone, mode, against) == []
 
 
 def test_dominated_validation(classic3):

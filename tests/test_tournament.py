@@ -110,6 +110,26 @@ def test_missing_pairs_are_found_before_the_grid_is_built():
     assert peak < 2_000_000
 
 
+def test_label_comment_does_not_size_memory_by_the_vertex_count():
+    # an n-long label list for 300,000 objects alone would take about 19 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(EdgeListParseError, match=r"missing orientation for pair \(0,2\)"):
+            parse_edge_list("300000\n# label 0 a\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("index, line", [(7, 2), (-1, 1), (3, 4)])
+def test_out_of_range_label_names_its_line(index, line):
+    lines = ["3", "0 1", "1 2", "2 0"]
+    lines.insert(line - 1, f"# label {index} x")
+    with pytest.raises(EdgeListParseError, match=f"line {line}: label index {index} out of range"):
+        parse_edge_list("\n".join(lines) + "\n")
+
+
 def test_parse_and_format_round_trip(rps_well):
     text = format_edge_list(rps_well)
     again = parse_edge_list(text)
