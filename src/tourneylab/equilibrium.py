@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .rational import RationalMatrix, Vector, _bareiss_echelon, kernel_basis, solve_affine
-from .tournament import Tournament, _unpack, is_strong
+from .tournament import Tournament, _canonical_search, _iso_classes, _unpack, is_strong
 
 SUPPORT_ENUM_LIMIT = 8
 
@@ -44,13 +44,13 @@ def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
     return rows
 
 
-def tournament_equilibrium(rows: list[list[int]]) -> Vector | None:
-    """The totally mixed equilibrium of a tournament game from its integer
-    payoff rows, or None, by one Bareiss elimination. The rank is asserted to
-    be n - (n mod 2): an odd game's kernel is spanned by its signed principal
-    sub-Pfaffians, all odd. With the free entry set to the last pivot (the
-    pivot block's determinant), Cramer's rule makes the back-substituted kernel
-    vector integral, so every division is exact."""
+def _signed_kernel(rows: list[list[int]]) -> list[int] | None:
+    """The integer kernel vector of a tournament game from its payoff rows, by
+    one Bareiss elimination; None for an even game. The rank is asserted to be
+    n - (n mod 2): an odd game's kernel is spanned by its signed principal
+    sub-Pfaffians, all odd, so no entry is zero. With the free entry set to the
+    last pivot (the pivot block's determinant), Cramer's rule makes the
+    back-substituted vector integral, so every division is exact."""
     n = len(rows)
     a, piv_cols, _ = _bareiss_echelon([row[:] for row in rows])
     assert len(piv_cols) == n - n % 2, f"rank {len(piv_cols)} for {n} objects"
@@ -62,10 +62,54 @@ def tournament_equilibrium(rows: list[list[int]]) -> Vector | None:
     for r in range(n - 2, -1, -1):
         pc = piv_cols[r]
         x[pc] = -sum(a[r][j] * x[j] for j in range(pc + 1, n)) // a[r][pc]
-    if not (min(x) > 0 or max(x) < 0):
+    return x
+
+
+def tournament_equilibrium(rows: list[list[int]]) -> Vector | None:
+    """The totally mixed equilibrium of a tournament game from its integer
+    payoff rows, or None: the signed kernel vector, scaled to sum 1, when all
+    its entries share a sign."""
+    x = _signed_kernel(rows)
+    if x is None or not (min(x) > 0 or max(x) < 0):
         return None
     total = sum(x)
     return tuple(Fraction(v, total) for v in x)
+
+
+def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted canonical forms, |Aut T| of each) of the playable classes of odd
+    n >= 3 objects, by switching (Babai & Cameron 2000).
+
+    Reversing every arc between a set S and its complement maps the payoff
+    matrix A to DAD, with D = diag(+-1) negative on S, and so the kernel vector
+    x to Dx. As x has no zero entry, S = {i : x_i < 0} (or its complement, the
+    same switch) makes the game playable, and no other switch does. Any vertex
+    can be switched into a source, so every playable class arises from an
+    (n-1)-class plus a source, switched to positive; one elimination and one
+    canonical search per parent class. `_check` is polled with each parent's
+    progress, for a time budget.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"playable classes are built for odd n >= 3, got {n}")
+    m = n - 1
+    parents = _iso_classes(m, _check)
+    # the source as vertex 0: its row of wins leads the packing, the parent's pairs follow
+    source = ((1 << m) - 1) << (m * (m - 1) // 2)
+    full = (1 << n) - 1
+    seen: dict[int, int] = {}
+    for done, packed in enumerate(parents):
+        if _check is not None:
+            _check(f"playable classes at {n} objects: {done}/{len(parents)} parent classes")
+        rows = packed_payoff_rows(n, source | packed)
+        neg = sum(1 << i for i, v in enumerate(_signed_kernel(rows)) if v < 0)
+        win = [
+            sum(1 << j for j, a in enumerate(row) if a > 0) ^ (full ^ neg if neg >> i & 1 else neg)
+            for i, row in enumerate(rows)
+        ]
+        form, aut = _canonical_search(win)
+        seen.setdefault(form, aut)
+    out = tuple(sorted(seen))
+    return out, tuple(seen[form] for form in out)
 
 
 @dataclass(frozen=True)
@@ -304,8 +348,8 @@ def find_dominated(
     Pure mode compares full payoff rows over every opponent object (weak:
     >= everywhere and > somewhere; strict: > everywhere). Mixed mode solves the
     exact feasibility problem over convex combinations of the other rows by
-    vertex enumeration; the dominating strategy is returned as a full-length
-    weight vector.
+    vertex enumeration, for at most SUPPORT_ENUM_LIMIT objects; the dominating
+    strategy is returned as a full-length weight vector.
     """
     if mode not in ("weak", "strict"):
         raise ValueError("mode must be 'weak' or 'strict'")
@@ -314,6 +358,8 @@ def find_dominated(
     rows = payoff_rows(t)
     if against == "pure":
         return list(_pure_dominated(rows, mode))
+    if t.n > SUPPORT_ENUM_LIMIT:
+        raise ValueError(f"mixed dominance is bounded at n <= {SUPPORT_ENUM_LIMIT}, got {t.n}")
     mixed = ((i, _mixed_dominator(rows, i, mode)) for i in range(t.n))
     return [(i, w) for i, w in mixed if w is not None]
 

@@ -9,6 +9,7 @@ winner). e_out[i] therefore counts i's losses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -345,7 +346,7 @@ def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
     Each class's |Aut T| comes from the search of the first extension that
     reaches it (see _automorphism_counts). Cached once complete; `_check` is
     polled with each parent's progress, for a time budget. n = 9 serves the
-    opt-in theorem and structural runs; public enumeration stops at 8.
+    opt-in structural run; public enumeration stops at 8.
     """
     if n > 9:
         raise ValueError("isomorphism classes are built for n <= 9 only")
@@ -381,6 +382,33 @@ def _automorphism_counts(n: int, _check=None) -> tuple[int, ...]:
     """|Aut T| of each class of _iso_classes(n), in the same order."""
     _iso_classes(n, _check)
     return _ISO_CACHE[n][1]
+
+
+def _class_count(n: int) -> int:
+    """Number of isomorphism classes of n-object tournaments, by Davis's
+    Burnside sum (R. L. Davis 1954; OEIS A000568), with no enumeration.
+
+    A relabeling fixes some tournament iff all its cycles are odd, and then it
+    fixes 2^e of them, e being its orbits on pairs: (k-1)/2 within each
+    k-cycle and gcd(a, b) between an a- and a b-cycle. Cycle type lambda has
+    n!/z(lambda) relabelings, z = prod over part sizes k of k^m m!.
+    """
+
+    def odd_partitions(rest: int, largest: int) -> Iterator[list[int]]:
+        if rest == 0:
+            yield []
+        for k in range(min(rest, largest), 0, -1):
+            if k % 2:
+                for tail in odd_partitions(rest - k, k):
+                    yield [k, *tail]
+
+    total = 0
+    for parts in odd_partitions(n, n):
+        e = sum((k - 1) // 2 for k in parts)
+        e += sum(math.gcd(a, b) for a, b in itertools.combinations(parts, 2))
+        z = math.prod(k ** parts.count(k) * math.factorial(parts.count(k)) for k in set(parts))
+        total += (math.factorial(n) // z) << e
+    return total // math.factorial(n)
 
 
 def _orbit_masks(n: int, packed: int) -> list[int]:

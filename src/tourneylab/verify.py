@@ -3,13 +3,16 @@ even-order/structural lemmas, over all tournaments of the requested size.
 
 Reports are plain dataclasses with deterministic JSON and Markdown renderings;
 two runs produce byte-identical output. Every suite runs over isomorphism
-classes and first asserts that their orbit weights n!/|Aut T| add up to all
-2^C(n,2) labeled games. One integer elimination
-(`equilibrium.tournament_equilibrium`) decides each class's playability first,
-and only playable classes get statistics; strong connectivity is tallied
-alongside as a cross-check but never substituted for it (strongness is
-necessary, not sufficient — see
-StructuralLemmasReport.strong_but_unplayable_count).
+classes from one class source and first asserts that their orbit weights
+n!/|Aut T| add up to the labeled games the source covers. The even and
+structural suites take every class, which covers all 2^C(n,2) labeled games;
+one integer elimination (`equilibrium.tournament_equilibrium`) decides each
+class's playability, and strong connectivity is tallied alongside as a
+cross-check but never substituted for it (strongness is necessary, not
+sufficient — see StructuralLemmasReport.strong_but_unplayable_count). The
+theorem suite takes only the playable classes, built by switching
+(`equilibrium._playable_classes`): one labeled playable game per switching
+class, 2^C(n-1,2) in all.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 import mpmath
 
 from .construct import imbalanced_rps
-from .equilibrium import packed_payoff_rows, tournament_equilibrium
+from .equilibrium import _playable_classes, packed_payoff_rows, tournament_equilibrium
 from .imbalance import (
     Majorization,
     compare_prefix_sums,
@@ -44,6 +47,7 @@ from .tournament import (
     landau_bound_check,
     tournament_from_canonical,
     _automorphism_counts,
+    _class_count,
     _iso_classes,
     _k_limit,
     _k_minimizing_checker,
@@ -138,12 +142,11 @@ class _ClassStats:
     equilibrium_prefix: tuple[Fraction, ...]
 
 
-def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
-    """Statistics of one playable class; None for an unplayable one."""
+def _class_stats(args: tuple[int, int]) -> _ClassStats:
+    """Statistics of one playable class."""
     objects, packed = args
     eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
-    if eq is None:
-        return None
+    assert eq is not None, f"class {packed} of {objects} objects is not playable"
     t = tournament_from_canonical(objects, packed)
     profile = uniform_profile(t)
     return _ClassStats(
@@ -157,19 +160,40 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats | None:
     )
 
 
+# A class source maps (n, budget poll) to (sorted canonical forms, |Aut T| of
+# each, the number of labeled games their orbits must cover).
+_Classes = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _every_class(n: int, check: Callable) -> _Classes:
+    """All n-object classes, covering all 2^C(n,2) labeled games."""
+    return _iso_classes(n, check), _automorphism_counts(n, check), 1 << (n * (n - 1) // 2)
+
+
+def _playable_only(n: int, check: Callable) -> _Classes:
+    """The playable classes of odd n objects: each switching class of 2^(n-1)
+    labeled games holds one playable game, so they cover 2^C(n-1,2)."""
+    return *_playable_classes(n, check), 1 << ((n - 1) * (n - 2) // 2)
+
+
 def _class_sweep(
-    sizes: Sequence[int], fn: Callable, jobs: int, deadline: _Deadline, phase: str
+    sizes: Sequence[int],
+    source: Callable[[int, Callable], _Classes],
+    fn: Callable,
+    jobs: int,
+    deadline: _Deadline,
+    phase: str,
 ) -> list[tuple[tuple[int, ...], list]]:
-    """(classes, [fn((n, c)) for c in classes]) for each n in `sizes`, over one
-    pool of `jobs` workers. Raises unless the orbit weights n!/|Aut T| add up to
-    all 2^C(n,2) labeled games, so a run never reports on an incomplete
-    enumeration; the budget is polled every 64 classes and names `phase`."""
+    """(classes, [fn((n, c)) for c in classes]) for each n in `sizes`, the
+    classes from `source`, over one pool of `jobs` workers. Raises unless the
+    orbit weights n!/|Aut T| add up to the labeled games the source covers, so
+    a run never reports on an incomplete or wrong class set; the budget is
+    polled every 64 classes and names `phase`."""
     out = []
     with Pool(processes=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         for n in sizes:
-            classes = _iso_classes(n, _check=deadline.check)
-            weight = sum(math.factorial(n) // a for a in _automorphism_counts(n, deadline.check))
-            total = 1 << (n * (n - 1) // 2)
+            classes, auts, total = source(n, deadline.check)
+            weight = sum(math.factorial(n) // a for a in auts)
             if weight != total:
                 raise RuntimeError(
                     f"class enumeration at {n} objects is incomplete: orbit weights "
@@ -333,17 +357,18 @@ def verify_theorem(
     Checks, over every playable isomorphism class: (a) unique maximum of the
     payoff variance and of expected ties, (b) maximum score-entropy and
     minimum equilibrium entropy, (c)/(d) strict majorization of the
-    construction's win and equilibrium sequences. n <= 3 by default; n = 4
-    (9 objects) only with allow_large, and subject to the budget.
+    construction's win and equilibrium sequences. Only the playable classes
+    are built; the count of all classes comes from Davis's formula. n <= 3 by
+    default; n = 4 (9 objects) only with allow_large, and subject to the
+    budget.
     """
     _theorem_bounds(n, allow_large)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
-    [(packed_classes, stats)] = _class_sweep(
-        [objects], _class_stats, jobs, deadline, "per-class statistics"
+    [(_, playable)] = _class_sweep(
+        [objects], _playable_only, _class_stats, jobs, deadline, "per-class statistics"
     )
-    playable: list[_ClassStats] = [s for s in stats if s is not None]
     cons_canon = canonical_form(imbalanced_rps(n))
     cons = next(s for s in playable if s.packed == cons_canon)
     others = [s for s in playable if s.packed != cons_canon]
@@ -406,7 +431,7 @@ def verify_theorem(
     return TheoremReport(
         n=n,
         objects=objects,
-        class_count=len(packed_classes),
+        class_count=_class_count(objects),
         playable_count=len(playable),
         construction_canonical=cons_canon,
         champion_canonical=champion.packed,
@@ -531,7 +556,7 @@ def verify_even_unplayable(
     sizes = range(2, max_n + 1, 2)
     results = []
     for n, (classes, checks) in zip(
-        sizes, _class_sweep(sizes, _even_class, jobs, deadline, "even sweep")
+        sizes, _class_sweep(sizes, _every_class, _even_class, jobs, deadline, "even sweep")
     ):
         failed = [(c, flags) for c, flags in zip(classes, checks) if not all(flags)]
         results.append(
@@ -648,7 +673,9 @@ def verify_structural_lemmas(
     _structural_bounds(n, allow_large)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
-    [(_, rows)] = _class_sweep([n], _structural_stats, jobs, deadline, "structural checks")
+    [(_, rows)] = _class_sweep(
+        [n], _every_class, _structural_stats, jobs, deadline, "structural checks"
+    )
     landau_fail, kmin_fail, prob_fail = [], [], []
     strong_unplayable = []
     playable_count = strong_count = 0

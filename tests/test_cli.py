@@ -340,27 +340,30 @@ def test_verify_budget_exceeded_exit_3(tmp_path, capsys):
 
 
 def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
-    # with the 6-object classes cached, the first 7-object parent finds the budget spent
-    tournament._iso_classes(6)
-    cached = {n: tournament._ISO_CACHE[n] for n in range(1, 7)}
+    # the 7-object theorem run builds the 6-object classes to switch; with the
+    # 5-object classes cached, the first 6-object parent finds the budget spent
+    tournament._iso_classes(5)
+    cached = {n: tournament._ISO_CACHE[n] for n in range(1, 6)}
     monkeypatch.setattr(tournament, "_ISO_CACHE", cached)
     code, _, err = run_cli(
         ["verify", "theorem", "--n", "3", "--budget", "0", "--out-dir", str(tmp_path)], capsys
     )
     assert code == 3
     assert "budget exceeded: " in err
-    assert "during class build at 7 objects: 0/56 parent classes" in err
+    assert "during class build at 6 objects: 0/12 parent classes" in err
 
 
 @pytest.mark.parametrize(
     "args, objects, passed, phase",
     [
-        (["theorem", "--n", "3"], 7, 1, "per-class statistics at 7 objects: 64/456 classes"),
+        (["theorem", "--n", "3"], 6, 1, "playable classes at 7 objects: 1/56 parent classes"),
+        # one poll per 6-object parent, then the first of the 12 playable classes
+        (["theorem", "--n", "3"], 6, 56, "per-class statistics at 7 objects: 0/12 classes"),
         (["structural", "--objects", "7"], 7, 1, "structural checks at 7 objects: 64/456 classes"),
         # one poll each at 2, 4 and 6 objects, then one every 64 classes at 8
         (["even", "--max-n", "8"], 8, 13, "even sweep at 8 objects: 640/6880 classes"),
     ],
-    ids=["theorem", "structural", "even"],
+    ids=["theorem", "theorem-statistics", "structural", "even"],
 )
 def test_verify_budget_names_per_class_phase(tmp_path, capsys, monkeypatch, args, objects, passed, phase):
     # the classes are cached, so the class build polls nothing; the clock reads

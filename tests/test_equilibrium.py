@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,10 @@ from tourneylab import (
     payoff_matrix,
     worst_case_equilibrium,
 )
+from tourneylab import equilibrium
 from tourneylab.construct import imbalanced_equilibrium_closed_form, imbalanced_rps
+from tourneylab.equilibrium import _playable_classes, packed_payoff_rows, tournament_equilibrium
+from tourneylab.tournament import _automorphism_counts, _iso_classes
 
 F = Fraction
 
@@ -287,6 +291,17 @@ def test_dominated_lone_object_has_no_dominator():
             assert find_dominated(lone, mode, against) == []
 
 
+def test_dominated_mixed_is_bounded(monkeypatch):
+    # a 9-object mixed call is refused before any system is solved
+    def solve(*args):
+        raise AssertionError("a dominance system was solved")
+
+    monkeypatch.setattr(equilibrium, "_mixed_dominator", solve)
+    for mode in ("weak", "strict"):
+        with pytest.raises(ValueError, match="bounded at n <= 8"):
+            find_dominated(imbalanced_rps(4), mode, "mixed")
+
+
 def test_dominated_validation(classic3):
     with pytest.raises(ValueError):
         find_dominated(classic3, "sort-of", "pure")
@@ -369,3 +384,27 @@ def test_worst_case_errors(classic3):
     p = equilibrium_polytope(payoff_matrix(classic3))
     with pytest.raises(ValueError):
         worst_case_equilibrium(p, "median")
+
+
+# ---------------------------------------------------------------------------
+# playable classes by switching
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_playable_classes_match_the_full_build(n):
+    forms, auts = _playable_classes(n)
+    playable = {
+        c: a
+        for c, a in zip(_iso_classes(n), _automorphism_counts(n))
+        if tournament_equilibrium(packed_payoff_rows(n, c)) is not None
+    }
+    assert list(forms) == sorted(forms)
+    assert dict(zip(forms, auts)) == playable
+    # one playable labeled game per switching class of 2^(n-1) games
+    assert sum(math.factorial(n) // a for a in auts) == 2 ** ((n - 1) * (n - 2) // 2)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_playable_classes_need_odd_n_from_3(n):
+    with pytest.raises(ValueError):
+        _playable_classes(n)

@@ -24,6 +24,7 @@ from tourneylab import (
 from tourneylab.construct import classic_cycle, imbalanced_rps
 from tourneylab.tournament import (
     _automorphism_counts,
+    _class_count,
     _iso_classes,
     _k_limit,
     _orbit_masks,
@@ -33,6 +34,8 @@ from tests.conftest import make_transitive
 
 # published counts of tournaments up to isomorphism, n = 1..8 (OEIS A000568)
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
+# the same sequence on to n = 11, past the sizes the class build reaches
+DAVIS_COUNTS = CLASS_COUNTS | {9: 191536, 10: 9733056, 11: 903753248}
 # published counts of strong tournaments up to isomorphism, n = 1..8 (OEIS A051337)
 STRONG_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353, 8: 6008}
 
@@ -218,6 +221,15 @@ def test_enumerate_iso_counts(n):
 def test_enumerate_strong_counts(n):
     strong = sum(1 for t in enumerate_tournaments(n, up_to_iso=True) if is_strong(t))
     assert strong == STRONG_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(DAVIS_COUNTS))
+def test_class_count_formula(n):
+    # Davis's Burnside sum against the published counts and, up to 8 objects,
+    # against the class build itself
+    assert _class_count(n) == DAVIS_COUNTS[n]
+    if n <= 8:
+        assert _class_count(n) == len(_iso_classes(n))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -19,7 +19,7 @@ from tourneylab import (
     verify_structural_lemmas,
     verify_theorem,
 )
-from tourneylab import verify
+from tourneylab import tournament, verify
 from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
 from tourneylab.tournament import _iso_classes, degree_profile, tournament_from_canonical
 from tourneylab.verify import (
@@ -89,6 +89,15 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
     )
     assert strict_wins > 0 and strict_eq > 0
     assert verify_theorem(3).schur_violations == strict_wins + strict_eq
+
+
+def test_theorem_builds_no_class_of_its_own_size(monkeypatch):
+    # the 7-object run builds the 6-object classes and switches them; the
+    # 7-object class build never runs
+    monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
+    rep = verify_theorem(3)
+    assert (rep.class_count, rep.playable_count) == (456, 12)
+    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5, 6]
 
 
 def test_theorem_reports_are_deterministic():
@@ -301,14 +310,20 @@ def test_structural_validation():
     ids=["theorem", "structural", "even"],
 )
 def test_class_runs_refuse_an_incomplete_enumeration(monkeypatch, run):
-    # one class's |Aut T| doubled: its orbit weight halves and the sum falls short
-    real = verify._automorphism_counts
+    # one class's |Aut T| doubled, in the all-class and the playable source:
+    # its orbit weight halves and the sum falls short
+    real_counts, real_playable = verify._automorphism_counts, verify._playable_classes
 
     def short(n, _check=None):
-        counts = real(n, _check)
+        counts = real_counts(n, _check)
         return (2 * counts[0],) + counts[1:]
 
+    def short_playable(n, _check=None):
+        forms, counts = real_playable(n, _check)
+        return forms, (2 * counts[0],) + counts[1:]
+
     monkeypatch.setattr(verify, "_automorphism_counts", short)
+    monkeypatch.setattr(verify, "_playable_classes", short_playable)
     with pytest.raises(RuntimeError, match="incomplete"):
         run()
 
