@@ -11,9 +11,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Callable
 
@@ -65,6 +67,37 @@ def _vec_field(v) -> dict:
     return {"exact": [str(x) for x in v], "approx": [float(x) for x in v]}
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(x, pad: str = "\n") -> str:
+    """Exactly `json.dumps(x, indent=2)` for string-keyed documents, without the
+    pure-Python encoder json falls back to whenever an indent is set."""
+    if isinstance(x, str):
+        return _ascii(x)
+    if x is None or x is True or x is False:
+        return _JSON_CONSTANTS[x]
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict) and x:
+        items = (f"{inner}{_ascii(k)}: {_json_text(v, inner)}" for k, v in x.items())
+        return "{" + ",".join(items) + pad + "}"
+    if not (isinstance(x, (list, tuple)) and x):
+        return json.dumps(x)  # [], {}, NaN, +-Infinity, or json's own TypeError
+    kinds = set(map(type, x))
+    if kinds == {int}:
+        items = map(str, x)
+    elif kinds <= {list, tuple} and set(map(len, x)) == {2} and set(map(type, chain(*x))) == {int}:
+        items = starmap(f"[{inner}  {{}},{inner}  {{}}{inner}]".format, x)
+    else:
+        items = (_json_text(v, inner) for v in x)
+    return f"[{inner}" + f",{inner}".join(items) + f"{pad}]"
+
+
 def parse_win_rate_csv(text: str) -> Tournament:
     """Square win-rate matrix with label header row/column; cell (i,j) is the
     empirical probability that i beats j. > 1/2 is a win, < 1/2 a loss, and an
@@ -114,7 +147,10 @@ def parse_win_rate_csv(text: str) -> Tournament:
                     f"contradictory rates for pair ({labels[i]}, {labels[j]})"
                 )
             edges.append((i, j) if rij > half else (j, i))
-    return from_edge_list(n, edges, labels)
+    try:
+        return from_edge_list(n, edges, labels)
+    except ValueError as exc:  # the edges are whole, so only the header can be at fault
+        raise CsvParseError(f"header row: {exc}") from None
 
 
 def build_analysis(t: Tournament, alpha: Fraction = Fraction(1, 2)) -> dict:
@@ -231,7 +267,7 @@ def _cmd_analyze(args) -> int:
     if args.md:
         sys.stdout.write(analysis_markdown(doc))
     else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc) + "\n")
     playable = doc["playability"]["class"] == Playability.STRONGLY_PLAYABLE.value
     return EXIT_OK if playable else EXIT_UNPLAYABLE
 
@@ -256,7 +292,7 @@ def _cmd_generate(args) -> int:
             "edges": [list(e) for e in t.edges()],
             "equilibrium": _vec_field(equilibrium),
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc) + "\n")
         return EXIT_OK
     sys.stdout.write(format_edge_list(t))
     for label, prob in zip(t.labels, equilibrium):
@@ -327,7 +363,7 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for name, report in runs:
         (out_dir / f"{name}.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
+            _json_text(report.to_json_dict()) + "\n", encoding="utf-8"
         )
         (out_dir / f"{name}.md").write_text(report.to_markdown(), encoding="utf-8")
         status = "PASS" if report.ok else "FAIL"
@@ -417,9 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs far more than parsing with it
+_shared_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     return args.func(args)
 
 

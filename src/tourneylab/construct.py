@@ -82,7 +82,8 @@ def blow_up(g1: Tournament, glue: int | str, g2: Tournament) -> Tournament:
     Remaining g1 objects keep their mutual edges and treat every g2 object
     exactly as they treated the glued object; g2 keeps its internal edges.
     Result order: g1 objects (glue removed, original order), then g2 objects;
-    labels compose as "outer.inner".
+    labels compose as "outer.inner", and a composed label that repeats an outer
+    one is a ValueError.
     """
     l = g1.label_index(glue) if isinstance(glue, str) else glue
     if not 0 <= l < g1.n:

@@ -25,7 +25,7 @@ class EdgeListParseError(ValueError):
 
 
 class Tournament:
-    """An orientation of the complete graph on n vertices, with optional labels."""
+    """An orientation of the complete graph on n vertices, with optional distinct labels."""
 
     __slots__ = ("n", "beats", "labels")
 
@@ -52,6 +52,9 @@ class Tournament:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise ValueError("need one label per vertex")
+            if len(set(labels)) != n:
+                repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise ValueError(f"label {repeated!r} names more than one object")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "beats", rows)
         object.__setattr__(self, "labels", labels)
@@ -142,8 +145,8 @@ def from_edge_list(
 def parse_edge_list(text: str) -> Tournament:
     """Parse the shared text format: first line n, then one "i j" per line.
 
-    ``#`` starts a comment; ``# label <index> <name>`` comments attach labels,
-    and each index must lie in [0, n).
+    ``#`` starts a comment; ``# label <index> <name>`` comments attach labels;
+    each index must lie in [0, n) and be labeled once, and labels must differ.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -183,6 +186,8 @@ def parse_edge_list(text: str) -> Tournament:
     for lineno, i, name in label_comments:
         if not 0 <= i < n:
             raise EdgeListParseError(f"label index {i} out of range for n={n}", lineno)
+        if i in labels:
+            raise EdgeListParseError(f"label index {i} is already labeled {labels[i]!r}", lineno)
         labels[i] = name
     # fewer edges than pairs cannot make a tournament, so from_edge_list raises
     # before it reads labels: the n-long list is built only when it could be used

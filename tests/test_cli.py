@@ -6,10 +6,12 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tourneylab import canonical_form, imbalanced_rps, parse_edge_list
 from tourneylab import tournament, verify
-from tourneylab.cli import _jobs_arg, main
+from tourneylab.cli import _jobs_arg, _json_text, main
 
 WELL_EDGES = """\
 4
@@ -141,6 +143,29 @@ def test_analyze_csv_rejects_contradiction(tmp_path, capsys):
     assert code == 1 and "contradictory" in err
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "dup.csv",
+            WELL_CSV.replace("paper", "rock"),
+            "header row: label 'rock' names more than one object",
+        ),
+        ("dup.edges", WELL_EDGES.replace("paper", "rock"), "label 'rock' names more than one object"),
+        (
+            "twice.edges",
+            WELL_EDGES.replace("label 1", "label 0"),
+            "line 3: label index 0 is already labeled 'rock'",
+        ),
+    ],
+    ids=["csv-header", "same-name", "same-index"],
+)
+def test_analyze_repeated_labels_exit_1(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli(["analyze", str(path)], capsys) == (1, "", f"error: {message}\n")
+
+
 def test_analyze_5x5_csv_thresholds_to_tournament(tmp_path, capsys):
     t = imbalanced_rps(2)
     header = "," + ",".join(t.labels)
@@ -241,6 +266,20 @@ def test_blowup_unknown_label(tmp_path, capsys):
     assert code == 1 and "zz" in err
 
 
+def test_blowup_repeated_labels_exit_1(tmp_path, capsys):
+    rps3 = _write_generated(tmp_path, capsys, "rps3.edges", "imbalanced", "--n", "1")
+    dup = tmp_path / "dup.edges"
+    dup.write_text(rps3.read_text().replace("label 1 p1", "label 1 r1"))
+    assert run_cli(["blowup", str(dup), "r1", str(rps3)], capsys) == (
+        1, "", "error: label 'r1' names more than one object\n"
+    )
+    outer = tmp_path / "outer.edges"
+    outer.write_text(rps3.read_text().replace("label 1 p1", "label 1 s.r1"))
+    assert run_cli(["blowup", str(outer), "s", str(rps3)], capsys) == (
+        1, "", "error: label 's.r1' names more than one object\n"
+    )
+
+
 def test_blowup_non_utf8_file_exit_1(tmp_path, capsys):
     rps3 = _write_generated(tmp_path, capsys, "rps3.edges", "imbalanced", "--n", "1")
     bad = tmp_path / "utf16.edges"
@@ -320,6 +359,116 @@ def test_verify_reports_match_pinned_digests(tmp_path, capsys):
         run_cli(["verify", *args, "--out-dir", str(tmp_path)], capsys)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == REPORT_DIGESTS
+
+
+ODD_LABELS_EDGES = '3\n# label 0 é\n# label 1 a"b\n# label 2 c\\d\n0 1\n1 2\n2 0\n'
+
+
+# sha256 of every analyze and generate output of the test below, taken from the output of
+# json.dumps(doc, indent=2); a change to any output byte must change these on purpose
+OUTPUT_DIGESTS = {
+    "generate_imbalanced_1.json": "576f0f87ed4f70bdad8df1ee2560f6517893d003ea67f3daca2a4e19eb649c8f",
+    "generate_imbalanced_2.json": "8d31f7128443afe6c19e4e03984f3313ae9cd2ecfa1e80791a2fc438a25b5875",
+    "generate_imbalanced_3.json": "d2bbe17a178a09b1d3de5c9954618aa942df85b53051dfbafa9f2e4b36672205",
+    "generate_imbalanced_4.json": "12f2514d7a1fd61e1e0475a47ef11c706697fa042b4dc943584809af50d17e86",
+    "generate_imbalanced_5.json": "54a5199a632b2133dc4b5db4ce655863e6ea95ddb82d42baf9389ab5184f5531",
+    "generate_classic-cycle_25.json": "7fdfac4c4cc369bd6eeb2272f4f6c1a1eab5c05f83b348533b92b2fe76df4841",
+    "analyze_one.edges.json": "69fbdbd0328550ce1fc1dadbf7d63a0a38509e74032d5e8ce1d7b96c475f653c",
+    "analyze_one.edges.md": "47b6c06972d189df58005008c6d566b7b95fd2b68abaa9ca8f62f9fe615f77de",
+    "analyze_two.edges.json": "2c04eed10930e82c5a1924ca94126d08033879dcb111a4cfc0031ed7cb9c90eb",
+    "analyze_two.edges.md": "1717d53d88fe4199a16c435b5938c3c06cb499ae1765992d08f011fb6b009da7",
+    "analyze_well.edges.json": "6dfd23285b69ef81882a0723b99ade31bd012261be2b57185738fbc9a563c160",
+    "analyze_well.edges.md": "b11df470f513ca2e974d3f3cc20cae94f6bba212cb258efd8aab0cc7dc5378c1",
+    "analyze_well.csv.json": "6dfd23285b69ef81882a0723b99ade31bd012261be2b57185738fbc9a563c160",
+    "analyze_well.csv.md": "b11df470f513ca2e974d3f3cc20cae94f6bba212cb258efd8aab0cc7dc5378c1",
+    "analyze_odd_labels.edges.json": "f49d0a74f2fd4d917751bef84d12293a78fd30fdbd419386a960afef1eeda06d",
+    "analyze_odd_labels.edges.md": "a82fb2c854040fb49a9446c98afef5d6bebac605052c633200f9ca647d6770d7",
+    "analyze_imbalanced_1.edges.json": "106afd49fb26114094969d2bbccb62ad4c3f38d03a486b3500596c5e4cbd1ab9",
+    "analyze_imbalanced_1.edges.md": "0e85b6296f1f1bf76e1a379a7dae2c64b5d9381ca09d5249c2856b2540aa1b63",
+    "analyze_imbalanced_2.edges.json": "5bf08f96de06fe9680085e973823f17331a1932f30d54a19bd61a78127667746",
+    "analyze_imbalanced_2.edges.md": "c5a64415bb7f15c66b34312df509357cc3a98efd757c51ce2b70a68a15376222",
+    "analyze_imbalanced_3.edges.json": "998ec0b79da5129346583baa3e85b9cdea67b46b571c9c990017740b8328e1d4",
+    "analyze_imbalanced_3.edges.md": "f39d74354e46d96f55a01d8140edec0f64d14d70a5abd76a6c1dc71cc9b2f5a6",
+    "analyze_imbalanced_4.edges.json": "f0d5a6e77846202c72b75319d61192b7c580e83d7c5e7c1d3fb053920a6b3e93",
+    "analyze_imbalanced_4.edges.md": "91c5d26a6adc6dbc5d74905b5197d208f63c7948c9e584891523cc211e094c52",
+    "analyze_imbalanced_5.edges.json": "00d41076f8af3263efd1a7facf241654375bd8e4b167740ac4cfa7ef2edf6441",
+    "analyze_imbalanced_5.edges.md": "207ad208f8859c792cdbd6a776ca3009e086a078c99c0ad8c24b041be7178981",
+    "analyze_classic-cycle_25.edges.json": "4189c610933bfefc4f1011c2be6f99beca49cf9a9c45a61c37e03d07ba5c5b2a",
+    "analyze_classic-cycle_25.edges.md": "710c9104b529f3d9a2f8912c53605df249c2c78e4dd4a22b0d031c551261574b",
+    "analyze_blowup.edges.json": "6c05401392b3266b738c2d89dc1b520a6315169c147281442b6cb0fe81591bb2",
+    "analyze_blowup.edges.md": "a51cabd042168ba5a3e8b5cd3570ff647d755c7b14edd7995464ad0abaf4aade",
+}
+
+
+def test_analyze_and_generate_match_pinned_digests(tmp_path, capsys):
+    # stdout of `analyze` (JSON and --md) and `generate --json` on a fixed input set
+    inputs = {
+        "one.edges": "1\n",
+        "two.edges": "2\n0 1\n",
+        "well.edges": WELL_EDGES,
+        "well.csv": WELL_CSV,
+        "odd_labels.edges": ODD_LABELS_EDGES,
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    names = list(inputs)
+    outputs = {}
+    for kind, n in [("imbalanced", str(k)) for k in range(1, 6)] + [("classic-cycle", "25")]:
+        name = f"{kind}_{n}"
+        outputs[f"generate_{name}.json"] = run_cli(["generate", kind, "--n", n, "--json"], capsys)[1]
+        names.append(_write_generated(tmp_path, capsys, f"{name}.edges", kind, "--n", n).name)
+    outer, inner = (str(tmp_path / f"imbalanced_{k}.edges") for k in (2, 1))
+    (tmp_path / "blowup.edges").write_text(run_cli(["blowup", outer, "s", inner], capsys)[1])
+    for name in names + ["blowup.edges"]:
+        path = str(tmp_path / name)
+        outputs[f"analyze_{name}.json"] = run_cli(["analyze", path], capsys)[1]
+        outputs[f"analyze_{name}.md"] = run_cli(["analyze", path, "--md"], capsys)[1]
+    digests = {name: hashlib.sha256(out.encode("utf-8")).hexdigest() for name, out in outputs.items()}
+    assert digests == OUTPUT_DIGESTS
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner)
+    | st.lists(st.integers() | st.booleans())
+    | st.lists(st.tuples(st.integers(), st.integers()) | st.lists(st.integers(), max_size=3)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+@example({"x": [float("nan"), float("inf"), -float("inf"), 0.1, {}, [], (), [True, 1]]})
+def test_json_text_equals_indented_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cycle.edges"
+    path.write_text(CYCLE_EDGES)
+    assert run_cli(["analyze", str(path), "--md"], capsys)[1].startswith("# Analysis")
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0 and json.loads(out)["input"]["n"] == 3
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    jobs_seen = []
+
+    def even(max_n, jobs, budget_secs):
+        jobs_seen.append(jobs)
+        return verify.verify_even_unplayable(max_n)
+
+    monkeypatch.setattr("tourneylab.cli.verify_even_unplayable", even)
+    for jobs in (["--jobs", "2"], []):
+        run_cli(["verify", "even", "--max-n", "2", *jobs, "--out-dir", str(tmp_path)], capsys)
+    assert jobs_seen == [2, 1]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 1
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0 and json.loads(out)["playability"]["class"] == "strongly_playable"
 
 
 def test_verify_budget_exceeded_exit_3(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from tourneylab import (
     RationalMatrix,
+    Tournament,
     blow_up,
     blow_up_equilibrium,
     blow_up_matrix,
@@ -149,6 +150,13 @@ def test_blow_up_errors(classic3):
         blow_up(classic3, "nope", classic3)
     with pytest.raises(ValueError):
         blow_up(classic3, 7, classic3)
+
+
+def test_blow_up_rejects_colliding_labels():
+    outer = imbalanced_rps(1).relabel(["r1", "s.x", "s"])
+    point = Tournament(1, [[False]], labels=["x"])
+    with pytest.raises(ValueError, match="label 's.x' names more than one object"):
+        blow_up(outer, "s", point)
 
 
 def test_blow_up_matrix_matches_tournament_blow_up():

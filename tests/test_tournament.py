@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -131,6 +132,22 @@ def test_out_of_range_label_names_its_line(index, line):
     lines.insert(line - 1, f"# label {index} x")
     with pytest.raises(EdgeListParseError, match=f"line {line}: label index {index} out of range"):
         parse_edge_list("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n# label 0 a\n# label 1 a\n0 1\n1 2\n2 0\n", "label 'a' names more than one object"),
+        ("3\n# label 0 a\n# label 0 b\n0 1\n1 2\n2 0\n", "line 3: label index 0 is already labeled 'a'"),
+        ("3\n# label 0 1\n0 1\n1 2\n2 0\n", "label '1' names more than one object"),
+    ],
+    ids=["same-name", "same-index", "name-of-default"],
+)
+def test_repeated_labels_are_rejected(text, message):
+    with pytest.raises(EdgeListParseError, match=re.escape(message)):
+        parse_edge_list(text)
+    with pytest.raises(ValueError, match="label 'x' names more than one object"):
+        Tournament(2, [[False, True], [False, False]], labels=["x", "x"])
 
 
 def test_parse_and_format_round_trip(rps_well):
