@@ -313,7 +313,8 @@ def _cmd_blowup(args) -> int:
     try:
         blown = blow_up(g1, glue, g2)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the message itself: str() of a KeyError would wrap it in quotes
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(format_edge_list(blown))
     return EXIT_OK

@@ -21,12 +21,11 @@ import contextlib
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Callable, Sequence
-
-import mpmath
 
 from .construct import imbalanced_rps
 from .equilibrium import _playable_classes, packed_payoff_rows, tournament_equilibrium
@@ -55,8 +54,9 @@ from .tournament import (
 )
 
 BUDGET_ENV_VAR = "TOURNEYLAB_BUDGET_SECS"
-ENTROPY_GUARD_BAND = mpmath.mpf("1e-30")
-ENTROPY_PRECISION_BITS = 256
+ENTROPY_GUARD_BAND = Decimal("1e-30")
+ENTROPY_DIGITS = 80  # decimal digits for 256 bits: 80 >= 256 * log10(2) = 77.06
+FLOAT_ENTROPY_SEPARATION = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
@@ -96,13 +96,21 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _entropy_bits(masses: Sequence[Fraction]) -> mpmath.mpf:
-    with mpmath.workprec(ENTROPY_PRECISION_BITS):
-        total = mpmath.mpf(0)
+def _entropy_float(masses: Sequence[Fraction]) -> float:
+    """-sum(m ln m) in floats, the terms added exactly by fsum. A mass that
+    rounds to 0.0 contributes under 1e-300 and is dropped."""
+    return -math.fsum(x * math.log(x) for x in map(float, masses) if x > 0)
+
+
+def _entropy_bits(masses: Sequence[Fraction]) -> Decimal:
+    """-sum(m ln m) to ENTROPY_DIGITS significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = ENTROPY_DIGITS
+        total = Decimal(0)
         for m in masses:
             if m > 0:
-                x = mpmath.mpf(m.numerator) / mpmath.mpf(m.denominator)
-                total -= x * mpmath.log(x)
+                x = Decimal(m.numerator) / m.denominator
+                total -= x * x.ln()
         return total
 
 
@@ -113,12 +121,22 @@ def _sign(x: Fraction) -> int:
 def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
     """Sign of H(x) - H(y) for exact mass lists, with a 1e-30 guard band.
 
-    Identical multisets compare equal exactly; distinct multisets whose 256-bit
-    entropies land inside the guard band raise GuardBandError rather than
-    returning a silent verdict.
+    Identical multisets compare equal exactly. Otherwise both entropies are
+    first taken in floats (`_entropy_float`). For a mass m in [0, 1], rounding
+    m, ln m and their product moves the term m ln m by at most
+    2^-53 * (m + 3|m ln m|) < 2^-52, and fsum adds the terms with one final
+    rounding, so an entropy of n masses is off by at most about n * 2^-52. A
+    float difference beyond FLOAT_ENTROPY_SEPARATION (1e-9, more than both
+    errors together for lists shorter than a million masses) therefore has
+    the exact sign. Only a nearer tie is decided at 256 bits, in `decimal`;
+    distinct multisets whose entropies land inside the guard band there raise
+    GuardBandError rather than returning a silent verdict.
     """
     if sorted(x) == sorted(y):
         return 0
+    rough = _entropy_float(x) - _entropy_float(y)
+    if abs(rough) > FLOAT_ENTROPY_SEPARATION:
+        return 1 if rough > 0 else -1
     diff = _entropy_bits(x) - _entropy_bits(y)
     if abs(diff) < ENTROPY_GUARD_BAND:
         raise GuardBandError(
@@ -190,6 +208,8 @@ def _class_sweep(
     a run never reports on an incomplete or wrong class set; the budget is
     polled every 64 classes and names `phase`."""
     out = []
+    if jobs > 1:
+        from multiprocessing import Pool  # only parallel runs pay for the import
     with Pool(processes=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         for n in sizes:
             classes, auts, total = source(n, deadline.check)
@@ -337,6 +357,24 @@ def _tally_markdown(name: str, t: MajorizationTally) -> str:
     return base
 
 
+def _schur_violations(
+    keys: Sequence[tuple[tuple[Fraction, ...], Fraction]], check: Callable, phase: str
+) -> int:
+    """Ordered pairs (a, b) of `keys`, each (descending prefix sums, statistic),
+    where a's sequence strictly majorizes b's but a's statistic is not larger.
+    Equal keys never violate, so each pair of distinct keys is compared once
+    and weighted by how many entries share each; the budget is polled once per
+    distinct key."""
+    groups = list(Counter(keys).items())
+    violations = 0
+    for k, ((pa, va), na) in enumerate(groups):
+        check(f"{phase}: {k}/{len(groups)} groups")
+        for (pb, vb), nb in groups:
+            if not va > vb and compare_prefix_sums(pa, pb) is Majorization.STRICT:
+                violations += na * nb
+    return violations
+
+
 def _theorem_bounds(n: int, allow_large: bool) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
@@ -414,17 +452,13 @@ def verify_theorem(
     eq_tally = tally(lambda s: s.equilibrium_prefix)
 
     # Schur: a strictly majorizing sequence has the larger variance or ties
-    strict = Majorization.STRICT
-    schur_violations = 0
-    for k, a in enumerate(playable):
-        deadline.check(f"Schur pass at {objects} objects: {k}/{len(playable)} playable classes")
-        for b in playable:
-            if compare_prefix_sums(a.wins_prefix, b.wins_prefix) is strict:
-                if not a.ui_v > b.ui_v:
-                    schur_violations += 1
-            if compare_prefix_sums(a.equilibrium_prefix, b.equilibrium_prefix) is strict:
-                if not a.ties > b.ties:
-                    schur_violations += 1
+    schur_violations = sum(
+        _schur_violations(keys, deadline.check, f"Schur pass over {name} at {objects} objects")
+        for name, keys in (
+            ("wins", [(s.wins_prefix, s.ui_v) for s in playable]),
+            ("equilibria", [(s.equilibrium_prefix, s.ties) for s in playable]),
+        )
+    )
 
     champion = max(playable, key=lambda s: (s.ui_v, -s.packed))
     champion_t = tournament_from_canonical(objects, champion.packed)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tourneylab import canonical_form, imbalanced_rps, parse_edge_list
+from tourneylab import canonical_form, format_edge_list, imbalanced_rps, parse_edge_list
 from tourneylab import tournament, verify
 from tourneylab.cli import _jobs_arg, _json_text, main
 
@@ -266,6 +266,14 @@ def test_blowup_unknown_label(tmp_path, capsys):
     assert code == 1 and "zz" in err
 
 
+def test_blowup_unknown_vertex_message_unquoted(tmp_path, capsys):
+    g = tmp_path / "g.edges"
+    g.write_text(CYCLE_EDGES)
+    assert run_cli(["blowup", str(g), "-1", str(g)], capsys) == (
+        1, "", "error: no vertex labeled '-1'\n"
+    )
+
+
 def test_blowup_repeated_labels_exit_1(tmp_path, capsys):
     rps3 = _write_generated(tmp_path, capsys, "rps3.edges", "imbalanced", "--n", "1")
     dup = tmp_path / "dup.edges"
@@ -508,11 +516,15 @@ def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
         (["theorem", "--n", "3"], 6, 1, "playable classes at 7 objects: 1/56 parent classes"),
         # one poll per 6-object parent, then the first of the 12 playable classes
         (["theorem", "--n", "3"], 6, 56, "per-class statistics at 7 objects: 0/12 classes"),
+        # then one poll per distinct (win sequence, variance) of the 12 classes
+        (["theorem", "--n", "3"], 6, 57, "Schur pass over wins at 7 objects: 0/6 groups"),
+        (["theorem", "--n", "3"], 6, 63, "Schur pass over equilibria at 7 objects: 0/10 groups"),
         (["structural", "--objects", "7"], 7, 1, "structural checks at 7 objects: 64/456 classes"),
         # one poll each at 2, 4 and 6 objects, then one every 64 classes at 8
         (["even", "--max-n", "8"], 8, 13, "even sweep at 8 objects: 640/6880 classes"),
     ],
-    ids=["theorem", "theorem-statistics", "structural", "even"],
+    ids=["theorem", "theorem-statistics", "theorem-schur-wins", "theorem-schur-equilibria",
+         "structural", "even"],
 )
 def test_verify_budget_names_per_class_phase(tmp_path, capsys, monkeypatch, args, objects, passed, phase):
     # the classes are cached, so the class build polls nothing; the clock reads
@@ -652,6 +664,31 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["playability"]["class"] == "strongly_playable"
+
+
+IMPORT_BOUNDARY = """\
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from tourneylab.cli import main
+analyze = main(["analyze", sys.argv[1]])
+theorem = main(["verify", "theorem", "--n", "3", "--jobs", "1", "--out-dir", sys.argv[2]])
+print(analyze, theorem, "multiprocessing" in sys.modules)
+"""
+
+
+def test_serial_runs_import_neither_mpmath_nor_multiprocessing(tmp_path):
+    path = tmp_path / "rps7.edges"
+    path.write_text(format_edge_list(imbalanced_rps(3)))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY, str(path), str(tmp_path / "reports")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # analyze exits 0 on a playable game; the 7-object theorem report says FAIL (exit 1)
+    assert proc.stdout.splitlines()[-1] == "0 1 False"
+    report = json.loads((tmp_path / "reports" / "theorem_n3.json").read_text())
+    assert report == verify.verify_theorem(3).to_json_dict()
 
 
 def test_budget_env_var(tmp_path):

@@ -1,8 +1,14 @@
+import itertools
 import json
+import multiprocessing
 import os
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourneylab import (
     BudgetExceededError,
@@ -21,11 +27,15 @@ from tourneylab import (
 )
 from tourneylab import tournament, verify
 from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
+from tourneylab.imbalance import compare_prefix_sums
 from tourneylab.tournament import _iso_classes, degree_profile, tournament_from_canonical
 from tourneylab.verify import (
+    FLOAT_ENTROPY_SEPARATION,
     EvenOrderResult,
     EvenUnplayabilityReport,
+    _entropy_float,
     _even_checks,
+    _schur_violations,
     _worker_count,
 )
 
@@ -225,13 +235,13 @@ def test_even_unplayable_bound_and_jobs():
 def test_even_sweep_starts_one_pool_for_every_order(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     started = []
-    real = verify.Pool
+    real = multiprocessing.Pool
 
     def counting_pool(*args, **kwargs):
         started.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     parallel = verify_even_unplayable(6, jobs=2)
     assert parallel.to_json_dict() == verify_even_unplayable(6, jobs=1).to_json_dict()
     assert started == [{"processes": 2}]  # one for 2, 4 and 6 objects; none serial
@@ -355,6 +365,77 @@ def test_compare_entropies_guard_band_escalates():
     y = [F(1, 2), F(1, 8), F(1, 8), F(1, 8), F(1, 8)]
     with pytest.raises(GuardBandError):
         compare_entropies(x, y)
+
+
+def _entropy_100_digits(masses) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 100
+        return -sum((Decimal(m.numerator) / m.denominator).ln() * m.numerator / m.denominator
+                    for m in masses if m > 0)
+
+
+_mass_lists = st.lists(st.integers(0, 1000), min_size=2, max_size=15).filter(any).map(
+    lambda w: [F(x, sum(w)) for x in w]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mass_lists, _mass_lists)
+def test_compare_entropies_float_sign_matches_exact(x, y):
+    if sorted(x) == sorted(y):
+        assert compare_entropies(x, y) == 0
+        return
+    exact = _entropy_100_digits(x) - _entropy_100_digits(y)
+    if abs(_entropy_float(x) - _entropy_float(y)) > FLOAT_ENTROPY_SEPARATION:
+        assert compare_entropies(x, y) == (1 if exact > 0 else -1)
+
+
+@pytest.mark.parametrize("e", [F(1, 10**7), F(1, 10**13)], ids=["gap-6e-14", "gap-6e-26"])
+def test_compare_entropies_near_tie_takes_the_exact_path(monkeypatch, e):
+    # H(1/2 + e, 1/2 - e) = ln 2 - 2e^2 - ..., so these differ by about 6e^2
+    x, y = [F(1, 2) + e, F(1, 2) - e], [F(1, 2) + 2 * e, F(1, 2) - 2 * e]
+    assert 5 * e**2 < _entropy_100_digits(x) - _entropy_100_digits(y) < 7 * e**2
+    exact_calls = []
+    real = verify._entropy_bits
+
+    def counting(masses):
+        exact_calls.append(masses)
+        return real(masses)
+
+    monkeypatch.setattr(verify, "_entropy_bits", counting)
+    assert compare_entropies(x, y) == 1
+    assert compare_entropies(y, x) == -1
+    assert exact_calls == [x, y, y, x]
+    # a separated pair never reaches the exact path
+    assert compare_entropies([F(1, 2), F(1, 2)], [F(9, 10), F(1, 10)]) == 1
+    assert len(exact_calls) == 4
+
+
+def _brute_schur(keys):
+    """The pairwise Schur loop over every ordered pair."""
+    strict = Majorization.STRICT
+    return sum(
+        1 for pa, va in keys for pb, vb in keys
+        if compare_prefix_sums(pa, pb) is strict and not va > vb
+    )
+
+
+def test_schur_violations_by_group_match_every_pair():
+    # descending sequences of 4 entries that sum to 6, with repeats
+    seqs = [s for s in itertools.product(range(7), repeat=4)
+            if sum(s) == 6 and list(s) == sorted(s, reverse=True)]
+    rng = random.Random(15)
+    for _ in range(40):
+        keys = []
+        for _ in range(rng.randint(1, 30)):
+            seq = rng.choice(seqs)
+            prefix = tuple(F(sum(seq[: i + 1])) for i in range(4))
+            keys.append((prefix, F(rng.randint(0, 3))))
+        polls = []
+        got = _schur_violations(keys, polls.append, "Schur pass over test")
+        assert got == _brute_schur(keys)
+        groups = len(set(keys))
+        assert polls == [f"Schur pass over test: {k}/{groups} groups" for k in range(groups)]
 
 
 def test_even_checks_are_independent():
