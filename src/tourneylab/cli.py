@@ -101,7 +101,8 @@ def _json_text(x, pad: str = "\n") -> str:
 def parse_win_rate_csv(text: str) -> Tournament:
     """Square win-rate matrix with label header row/column; cell (i,j) is the
     empirical probability that i beats j. > 1/2 is a win, < 1/2 a loss, and an
-    exact 1/2 (or contradictory symmetric cells) is an error naming the pair."""
+    exact 1/2, a rate outside [0, 1] or contradictory symmetric cells is an
+    error naming the pair."""
     rows = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
     if len(rows) < 2:
         raise CsvParseError("need a header row and at least one data row")
@@ -137,6 +138,8 @@ def parse_win_rate_csv(text: str) -> Tournament:
             rij, rji = rates[i][j], rates[j][i]
             if rij is None or rji is None:
                 raise CsvParseError(f"missing rate for pair ({labels[i]}, {labels[j]})")
+            if not (0 <= rij <= 1 and 0 <= rji <= 1):
+                raise CsvParseError(f"rate for pair ({labels[i]}, {labels[j]}) is outside [0, 1]")
             if rij == half or rji == half:
                 raise CsvParseError(
                     f"rate for pair ({labels[i]}, {labels[j]}) is exactly 0.5; "
@@ -321,56 +324,43 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # every selected suite's size bound is checked before the first one runs
+    # size bounds and the output directory are checked before the first suite runs
+    out_dir = Path(args.out_dir)
     suites: list[tuple[str, Callable[[], object]]] = []
     opts = {"jobs": args.jobs, "budget_secs": args.budget}
+    large = {"allow_large": args.allow_large, **opts}
     try:
         if args.suite in ("theorem", "all"):
             _theorem_bounds(args.n, args.allow_large)
-            suites.append(
-                (
-                    f"theorem_n{args.n}",
-                    partial(verify_theorem, args.n, allow_large=args.allow_large, **opts),
-                )
-            )
+            suites.append((f"theorem_n{args.n}", partial(verify_theorem, args.n, **large)))
         if args.suite in ("even", "all"):
             _even_bounds(args.max_n)
             suites.append(
                 (f"even_maxn{args.max_n}", partial(verify_even_unplayable, args.max_n, **opts))
             )
         if args.suite in ("structural", "all"):
-            sizes = (
-                [args.objects]
-                if args.suite == "structural"
-                else [m for m in (3, 5, 7) if m <= 2 * args.n + 1]
-            )
-            for m in sizes:
+            odd = [m for m in (3, 5, 7) if m <= 2 * args.n + 1]
+            for m in [args.objects] if args.suite == "structural" else odd:
                 _structural_bounds(m, args.allow_large)
-                suites.append(
-                    (
-                        f"structural_n{m}",
-                        partial(verify_structural_lemmas, m, allow_large=args.allow_large, **opts),
-                    )
-                )
+                suites.append((f"structural_n{m}", partial(verify_structural_lemmas, m, **large)))
+        nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not nearest.is_dir():
+            raise NotADirectoryError(f"--out-dir: {nearest} is not a directory")
         runs = [(name, run()) for name, run in suites]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, report in runs:
+            (out_dir / f"{name}.json").write_text(
+                _json_text(report.to_json_dict()) + "\n", encoding="utf-8"
+            )
+            (out_dir / f"{name}.md").write_text(report.to_markdown(), encoding="utf-8")
+            print(f"{name}: {'PASS' if report.ok else 'FAIL'}")
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    all_ok = True
-    for name, report in runs:
-        (out_dir / f"{name}.json").write_text(
-            _json_text(report.to_json_dict()) + "\n", encoding="utf-8"
-        )
-        (out_dir / f"{name}.md").write_text(report.to_markdown(), encoding="utf-8")
-        status = "PASS" if report.ok else "FAIL"
-        print(f"{name}: {status}")
-        all_ok = all_ok and report.ok
-    return EXIT_OK if all_ok else EXIT_ERROR
+    return EXIT_OK if all(report.ok for _, report in runs) else EXIT_ERROR
 
 
 class _Parser(argparse.ArgumentParser):

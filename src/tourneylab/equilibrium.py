@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
-from .rational import RationalMatrix, Vector, _bareiss_echelon, kernel_basis, solve_affine
+from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
 from .tournament import Tournament, _canonical_search, _iso_classes, _unpack, is_strong
 
 SUPPORT_ENUM_LIMIT = 8
@@ -45,23 +46,29 @@ def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
 
 
 def _signed_kernel(rows: list[list[int]]) -> list[int] | None:
-    """The integer kernel vector of a tournament game from its payoff rows, by
-    one Bareiss elimination; None for an even game. The rank is asserted to be
-    n - (n mod 2): an odd game's kernel is spanned by its signed principal
-    sub-Pfaffians, all odd, so no entry is zero. With the free entry set to the
-    last pivot (the pivot block's determinant), Cramer's rule makes the
-    back-substituted vector integral, so every division is exact."""
+    """((-1)**i Pf A_ii)_i, A_ii being A without row and column i: the kernel of
+    an odd tournament game's payoff rows A; None for an even game. Fraction-free
+    Pfaffian elimination in 2x2 pivot blocks by congruence on the upper triangle
+    leaves Pfaffians of even principal sub-tournaments as entries, with exact
+    divisions by Knuth's overlapping-Pfaffian identity (Electron. J. Combin. 3(2),
+    1996, R5). Mod 2 a tournament matrix is J - I, so each one is odd: no pivot
+    search, and the asserted odd pivots make every even game nonsingular."""
     n = len(rows)
-    a, piv_cols, _ = _bareiss_echelon([row[:] for row in rows])
-    assert len(piv_cols) == n - n % 2, f"rank {len(piv_cols)} for {n} objects"
+    up = [row[i + 1 :] for i, row in enumerate(rows)]
+    prev = 1
+    for p in range(0, n - 1, 2):
+        (piv, *tp), tq = up[p], up[p + 1]
+        assert piv & 1, f"even pivot Pfaffian {piv} at rows {p}, {p + 1}: not a tournament"
+        for i, (pi, qi) in enumerate(zip(tp, tq), p + 2):
+            rest = zip(up[i], tp[i - p - 1 :], tq[i - p - 1 :])
+            up[i] = [(piv * a + qi * ap - pi * aq) // prev for a, ap, aq in rest]
+        prev = piv
     if n % 2 == 0:
         return None
-    (free,) = set(range(n)).difference(piv_cols)
-    x = [0] * n
-    x[free] = a[n - 2][piv_cols[-1]] if piv_cols else 1
-    for r in range(n - 2, -1, -1):
-        pc = piv_cols[r]
-        x[pc] = -sum(a[r][j] * x[j] for j in range(pc + 1, n)) // a[r][pc]
+    x = [prev]  # the free entry is the last pivot; back-substitute pair by pair
+    for p in range(n - 3, -1, -2):
+        piv, *tp = up[p]
+        x[:0] = sum(map(mul, up[p + 1], x)) // piv, -sum(map(mul, tp, x)) // piv
     return x
 
 
@@ -82,13 +89,13 @@ def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, 
 
     Reversing every arc between a set S and its complement maps the payoff
     matrix A to DAD, with D = diag(+-1) negative on S, and so the kernel vector
-    x to Dx. As x has no zero entry, S = {i : x_i < 0} (or its complement, the
-    same switch) makes the game playable, and no other switch does. Any vertex
-    can be switched into a source, so every playable class arises from an
-    (n-1)-class plus a source, switched to positive; one elimination and one
-    canonical search per parent class. `_check` is polled with each parent's
-    progress, for a time budget.
-    """
+    x to Dx. x holds the Pfaffians of the even sub-tournaments, all odd, so
+    S = {i : x_i < 0} (or its complement, the same switch) makes the game
+    playable, and no other switch does. Any vertex can be switched into a
+    source, so every playable class is an (n-1)-class plus a source, switched
+    to positive: per parent class, one Pfaffian elimination, exact by Knuth's
+    identity (Electron. J. Combin. 3(2), 1996, R5), and one canonical search.
+    `_check` is polled with each parent's progress, for a time budget."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"playable classes are built for odd n >= 3, got {n}")
     m = n - 1
@@ -247,11 +254,10 @@ def classify_playability(t: Tournament) -> PlayabilityReport:
     """StronglyPlayable iff the game has a totally mixed equilibrium, which is
     then unique; otherwise Unplayable, with a weakly dominated object as the
     witness when there is one. The report carries the is_strong cross-check."""
-    rows = payoff_rows(t)
-    point = tournament_equilibrium(rows)
+    point = tournament_equilibrium(payoff_rows(t))
     strong = is_strong(t)
     if point is None:
-        pair = next(_pure_dominated(rows, "weak"), None)
+        pair = next(_pure_dominated(t, "weak"), None)
         return PlayabilityReport(Playability.UNPLAYABLE, t, strong, dominating_pair=pair)
     return PlayabilityReport(Playability.STRONGLY_PLAYABLE, t, strong, equilibrium=point)
 
@@ -324,18 +330,16 @@ def _mixed_dominator(rows: list[list[int]], i: int, mode: str) -> Vector | None:
     return _embed(n, others, best[:d])
 
 
-def _pure_dominated(rows: list[list[int]], mode: str) -> Iterator[tuple[int, int]]:
-    """(dominated, first dominator) for each row that another row dominates,
-    as find_dominated's pure mode defines it."""
-    for i, row_i in enumerate(rows):
-        for k, row_k in enumerate(rows):
-            if k == i:
-                continue
-            if mode == "weak":
-                hit = row_k != row_i and all(a >= b for a, b in zip(row_k, row_i))
-            else:
-                hit = all(a > b for a, b in zip(row_k, row_i))
-            if hit:
+def _pure_dominated(t: Tournament, mode: str) -> Iterator[tuple[int, int]]:
+    """(dominated, first dominator) for each object that another one dominates,
+    as find_dominated's pure mode defines it. With W_i the objects i beats, k
+    weakly dominates i iff k beats i and W_i <= W_k, and strictly iff moreover
+    W_i is empty and k beats every other object."""
+    win = [sum(1 << j for j, won in enumerate(row) if won) for row in t.beats]
+    for i, w_i in enumerate(win):
+        need = w_i | 1 << i  # k beats i and everything i beats
+        for k, w_k in enumerate(win):
+            if not need & ~w_k and (mode == "weak" or not w_i and w_k.bit_count() == t.n - 1):
                 yield i, k
                 break
 
@@ -355,11 +359,11 @@ def find_dominated(
         raise ValueError("mode must be 'weak' or 'strict'")
     if against not in ("pure", "mixed"):
         raise ValueError("against must be 'pure' or 'mixed'")
-    rows = payoff_rows(t)
     if against == "pure":
-        return list(_pure_dominated(rows, mode))
+        return list(_pure_dominated(t, mode))
     if t.n > SUPPORT_ENUM_LIMIT:
         raise ValueError(f"mixed dominance is bounded at n <= {SUPPORT_ENUM_LIMIT}, got {t.n}")
+    rows = payoff_rows(t)
     mixed = ((i, _mixed_dominator(rows, i, mode)) for i in range(t.n))
     return [(i, w) for i, w in mixed if w is not None]
 

@@ -37,20 +37,22 @@ def uniform_profile(t: Tournament) -> UniformPayoffProfile:
     """Payoff (e_in[i] - e_out[i]) / (n - 1) per object; mean is exactly 0."""
     if t.n < 2:
         raise ValueError("uniform payoffs need at least two objects")
-    profile = degree_profile(t)
-    payoffs = tuple(
-        Fraction(w - l, t.n - 1) for w, l in zip(profile.e_in, profile.e_out)
-    )
-    hist: dict[Fraction, Fraction] = {}
-    unit = Fraction(1, t.n)
-    for p in payoffs:
-        hist[p] = hist.get(p, Fraction(0)) + unit
-    return UniformPayoffProfile(payoffs, dict(sorted(hist.items())))
+    diffs = [2 * sum(row) - (t.n - 1) for row in t.beats]
+    score = {d: Fraction(d, t.n - 1) for d in sorted(set(diffs))}
+    hist = {score[d]: Fraction(diffs.count(d), t.n) for d in score}
+    return UniformPayoffProfile(tuple(score[d] for d in diffs), hist)
+
+
+def _numerators(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers X and d with v = X / d, d the least common denominator."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def ui_variance(p: UniformPayoffProfile) -> Fraction:
     """Exact population variance of the uniform payoffs (their mean is 0)."""
-    return sum((x * x for x in p.payoffs), Fraction(0)) / p.n
+    xs, d = _numerators(p.payoffs)
+    return Fraction(sum(x * x for x in xs), d * d * p.n)
 
 
 def ui_entropy(p: UniformPayoffProfile) -> float:
@@ -69,13 +71,15 @@ def ui_theil(p: UniformPayoffProfile, alpha: Fraction) -> float:
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must satisfy 0 < alpha < 1")
-    lo = min(p.payoffs)
+    xs, _ = _numerators(p.payoffs)
+    lo = min(xs)
     if lo == 0:
         return 0.0
-    c1 = (alpha - 1) / lo
+    # c1*x + 1 = ((a-b)x + b*lo) / (b*lo) for alpha = a/b; int / int rounds as float(Fraction)
+    a, b = alpha.numerator, alpha.denominator
     total = 0.0
-    for x in p.payoffs:
-        z = float(c1 * x + 1)
+    for x in xs:
+        z = ((a - b) * x + b * lo) / (b * lo)
         if z > 0:
             total += z * math.log(z)
     return total / p.n
@@ -85,7 +89,8 @@ def nash_ties(v: Sequence[Fraction], m: int = 2) -> Fraction:
     """Exact expected ties sum(v_o ** m) for m players."""
     if m < 2:
         raise ValueError("need at least two players")
-    return sum((Fraction(x) ** m for x in v), Fraction(0))
+    xs, d = _numerators([Fraction(x) for x in v])
+    return Fraction(sum(x**m for x in xs), d**m)
 
 
 def nash_entropy(v: Sequence[Fraction | float]) -> float:

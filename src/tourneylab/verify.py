@@ -5,11 +5,11 @@ Reports are plain dataclasses with deterministic JSON and Markdown renderings;
 two runs produce byte-identical output. Every suite runs over isomorphism
 classes from one class source and first asserts that their orbit weights
 n!/|Aut T| add up to the labeled games the source covers. The even and
-structural suites take every class, which covers all 2^C(n,2) labeled games;
-one integer elimination (`equilibrium.tournament_equilibrium`) decides each
-class's playability, and strong connectivity is tallied alongside as a
-cross-check but never substituted for it (strongness is necessary, not
-sufficient — see StructuralLemmasReport.strong_but_unplayable_count). The
+structural suites take every class, which covers all 2^C(n,2) labeled games.
+One Pfaffian elimination (`equilibrium.tournament_equilibrium`, exact by Knuth,
+Electron. J. Combin. 3(2), 1996, R5) decides playability, asserting that every
+even sub-tournament has an odd Pfaffian (the even suite checks this apart).
+Strongness is a tallied cross-check only: necessary, not sufficient. The
 theorem suite takes only the playable classes, built by switching
 (`equilibrium._playable_classes`): one labeled playable game per switching
 class, 2^C(n-1,2) in all.

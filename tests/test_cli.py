@@ -135,6 +135,16 @@ def test_analyze_csv_rejects_exact_half(tmp_path, capsys):
     assert "exactly 0.5" in err and "rock" in err and "paper" in err
 
 
+@pytest.mark.parametrize("good, bad", [("0.8", "1.5"), ("0.2", "-0.5")])
+def test_analyze_csv_rejects_rates_outside_unit_interval(tmp_path, capsys, good, bad):
+    # WELL_CSV gives paper 0.8 against rock, and rock 0.2 against paper
+    path = tmp_path / "range.csv"
+    path.write_text(WELL_CSV.replace(good, bad, 1))
+    assert run_cli(["analyze", str(path)], capsys) == (
+        1, "", "error: rate for pair (rock, paper) is outside [0, 1]\n"
+    )
+
+
 def test_analyze_csv_rejects_contradiction(tmp_path, capsys):
     bad = WELL_CSV.replace("0.8", "0.3")
     path = tmp_path / "contra.csv"
@@ -733,3 +743,25 @@ def test_bad_budget_env_var_exit_1(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: TOURNEYLAB_BUDGET_SECS")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["file", "file/reports"])
+def test_verify_out_dir_on_a_file_exit_1_before_any_suite(tmp_path, capsys, monkeypatch, where):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran before the output directory was checked")
+
+    monkeypatch.setattr("tourneylab.cli.verify_theorem", never)
+    (tmp_path / "file").write_text("kept")
+    code, out, err = run_cli(
+        ["verify", "theorem", "--n", "2", "--out-dir", str(tmp_path / where)], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --out-dir: {tmp_path / 'file'} is not a directory\n"
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_verify_report_write_error_exit_1(tmp_path, capsys):
+    (tmp_path / "theorem_n2.json").mkdir()
+    code, out, err = run_cli(["verify", "theorem", "--n", "2", "--out-dir", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "theorem_n2.json" in err

@@ -7,6 +7,7 @@ import pytest
 from tourneylab import (
     Playability,
     RationalMatrix,
+    Tournament,
     classify_playability,
     enumerate_tournaments,
     equilibrium_polytope,
@@ -408,3 +409,61 @@ def test_playable_classes_match_the_full_build(n):
 def test_playable_classes_need_odd_n_from_3(n):
     with pytest.raises(ValueError):
         _playable_classes(n)
+
+
+def rows_dominated(rows, mode):
+    """The row-comparison definition of pure dominance, as an oracle:
+    (dominated, first dominator) for each dominated row."""
+    for i, row_i in enumerate(rows):
+        for k, row_k in enumerate(rows):
+            if k == i:
+                continue
+            if mode == "weak":
+                hit = row_k != row_i and all(a >= b for a, b in zip(row_k, row_i))
+            else:
+                hit = all(a > b for a, b in zip(row_k, row_i))
+            if hit:
+                yield i, k
+                break
+
+
+def test_win_set_dominance_matches_rows_on_every_game_up_to_6_objects():
+    for n in range(1, 7):
+        for t in enumerate_tournaments(n):
+            rows = equilibrium.payoff_rows(t)
+            for mode in ("weak", "strict"):
+                assert find_dominated(t, mode) == list(rows_dominated(rows, mode))
+
+
+def seeded_games(n, rng):
+    """Random games, random games with a planted sink and source (strict
+    dominance), and relabeled transitive games (weak dominance by win sets)."""
+    for kind in ["random"] * 10 + ["planted"] * 5 + ["transitive"] * 5:
+        rank = rng.sample(range(n), n)
+        beats = [[False] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = rank[i] > rank[j] if kind == "transitive" else rng.random() < 0.5
+                beats[i][j], beats[j][i] = w, not w
+        if kind == "planted":
+            sink, source = rank[:2]
+            for j in range(n):
+                if j != sink:
+                    beats[sink][j], beats[j][sink] = False, True
+            for j in range(n):
+                if j != source:
+                    beats[source][j], beats[j][source] = True, False
+        yield Tournament(n, beats)
+
+
+def test_win_set_dominance_matches_rows_on_seeded_games():
+    rng = random.Random(16)
+    hits = {"weak": 0, "strict": 0}
+    for n in (7, 9, 11, 15, 21, 31, 51):
+        for t in seeded_games(n, rng):
+            rows = equilibrium.payoff_rows(t)
+            for mode in hits:
+                got = find_dominated(t, mode)
+                assert got == list(rows_dominated(rows, mode))
+                hits[mode] += len(got)
+    assert min(hits.values()) >= 35

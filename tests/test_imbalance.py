@@ -328,3 +328,56 @@ def test_imbalance_report_unplayable(transitive5):
     assert rep.n_t is None and rep.n_e is None
     assert rep.sorted_equilibrium_probs is None
     assert rep.ui_v > 0
+
+
+# ---------------------------------------------------------------------------
+# integer numerators against the plain Fraction definitions
+# ---------------------------------------------------------------------------
+
+def fraction_profile(t):
+    payoffs = [F(2 * sum(row) - (t.n - 1), t.n - 1) for row in t.beats]
+    hist = {}
+    for p in payoffs:
+        hist[p] = hist.get(p, F(0)) + F(1, t.n)
+    return tuple(payoffs), dict(sorted(hist.items()))
+
+
+def fraction_theil(payoffs, alpha):
+    c1 = (alpha - 1) / min(payoffs)
+    total = 0.0
+    for x in payoffs:
+        z = float(c1 * x + 1)
+        if z > 0:
+            total += z * math.log(z)
+    return total / len(payoffs)
+
+
+def test_statistics_match_fraction_definitions_on_seeded_games():
+    import random
+
+    from tourneylab.equilibrium import payoff_rows, tournament_equilibrium
+    from tourneylab.tournament import tournament_from_canonical
+
+    rng = random.Random(16)
+    games = [
+        tournament_from_canonical(n, rng.getrandbits(n * (n - 1) // 2))
+        for n in (2, 3, 4, 5, 7, 8, 11, 16, 21, 33, 51)
+        for _ in range(4)
+    ]
+    games += [imbalanced_rps(k) for k in (1, 2, 4, 9, 25)]
+    for t in games:
+        p = uniform_profile(t)
+        payoffs, hist = fraction_profile(t)
+        assert p.payoffs == payoffs and p.score_distribution == hist
+        assert list(p.score_distribution) == list(hist)
+        assert ui_variance(p) == sum(x * x for x in payoffs) / t.n
+        if min(payoffs) < 0:
+            for alpha in (F(1, 2), F(1, 3), F(7, 10), F(99, 100)):
+                assert ui_theil(p, alpha) == fraction_theil(payoffs, alpha)
+    vectors = [tournament_equilibrium(payoff_rows(t)) for t in games]
+    vectors = [v for v in vectors if v is not None]
+    vectors += [[F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(9)]]
+    assert len(vectors) >= 6
+    for v in vectors:
+        for m in range(2, 6):
+            assert nash_ties(v, m) == sum(x**m for x in v)

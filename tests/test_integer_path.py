@@ -1,7 +1,9 @@
 """The integer paths against oracles used in tests only: sympy for
 determinants and kernels, the Fraction payoff matrix and the general
 polytope routine, the Pfaffian identities pf(A)**2 = det(A) and
-Pf(P A P^T) = det(P) Pf(A), and the blow-up equilibrium identity."""
+Pf(P A P^T) = det(P) Pf(A), the sub-Pfaffians by expansion and the Fraction
+Bareiss kernel for the Pfaffian elimination, and the blow-up equilibrium
+identity."""
 
 import random
 from fractions import Fraction
@@ -22,8 +24,15 @@ from tourneylab import (
     imbalanced_rps,
     payoff_matrix,
 )
-from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
-from tourneylab.rational import _bareiss_echelon, _pfaffian_expand
+from tourneylab import equilibrium, rational, verify
+from tourneylab.cli import build_analysis
+from tourneylab.equilibrium import (
+    _signed_kernel,
+    packed_payoff_rows,
+    payoff_rows,
+    tournament_equilibrium,
+)
+from tourneylab.rational import _bareiss_echelon, _pfaffian_expand, kernel_basis
 from tourneylab.tournament import tournament_from_canonical
 
 
@@ -81,13 +90,14 @@ def signed_sub_pfaffians(rows):
 def test_equilibrium_kernel_matches_oracles(game):
     n, mask = game
     rows = packed_payoff_rows(n, mask)
-    point = tournament_equilibrium(rows)  # asserts rank n - n mod 2 itself
+    point = tournament_equilibrium(rows)  # asserts every pivot Pfaffian odd
     null = sympy.Matrix(rows).nullspace()
     assert len(null) == n % 2
     if n % 2 == 0:
-        assert point is None
+        assert point is None and _signed_kernel(rows) is None
         return
     pf = signed_sub_pfaffians(rows)
+    assert _signed_kernel(rows) == pf
     assert all(x % 2 == 1 for x in pf)
     (v,) = null
     assert sympy.Matrix(pf) * v[0] == v * pf[0]
@@ -132,3 +142,46 @@ def test_blow_up_spreads_glued_mass_uniformly(k, m):
         blown = blow_up(outer, g, classic_cycle(m))
         expected = [x for i, x in enumerate(eq) if i != g] + [eq[g] / m] * m
         assert tournament_equilibrium(payoff_rows(blown)) == tuple(expected)
+
+
+def large_games():
+    """Seeded random games, constructions and blow-ups of 11 to 51 objects."""
+    rng = random.Random(16)
+    for n in (11, 13, 21, 31, 51):
+        for _ in range(3):
+            yield tournament_from_canonical(n, rng.getrandbits(n * (n - 1) // 2))
+    for k in (5, 10, 25):
+        yield imbalanced_rps(k)
+    yield blow_up(imbalanced_rps(5), 3, classic_cycle(9))
+    yield blow_up(classic_cycle(11), 0, imbalanced_rps(6))
+
+
+@pytest.mark.parametrize("t", list(large_games()), ids=lambda t: f"n{t.n}")
+def test_pfaffian_kernel_matches_fraction_bareiss(t):
+    rows = payoff_rows(t)
+    x = _signed_kernel(rows)
+    assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+    (v,) = kernel_basis(RationalMatrix(rows))  # normalized so v[0] == 1
+    assert all(x[0] * vi == xi for vi, xi in zip(v, x))
+    assert all(xi % 2 == 1 for xi in x)
+
+
+def test_pfaffian_kernel_rejects_even_pivot():
+    # skew, leading Pfaffian 2: not a tournament, so no vector comes back
+    rows = [[0, 2, 1], [-2, 0, 1], [-1, -1, 0]]
+    with pytest.raises(AssertionError, match="even pivot Pfaffian 2"):
+        _signed_kernel(rows)
+
+
+def test_odd_games_never_reach_bareiss(monkeypatch):
+    def refuse(a):
+        raise AssertionError("Bareiss elimination on a tournament game")
+
+    for module in (rational, equilibrium, verify):  # wherever the name is bound
+        if hasattr(module, "_bareiss_echelon"):
+            monkeypatch.setattr(module, "_bareiss_echelon", refuse)
+    games = [imbalanced_rps(6), blow_up(classic_cycle(3), 1, classic_cycle(5))]
+    games.append(tournament_from_canonical(11, random.Random(11).getrandbits(55)))
+    for t in games:
+        build_analysis(t)
+        tournament_equilibrium(packed_payoff_rows(t.n, canonical_form(t)))
