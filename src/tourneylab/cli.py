@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, starmap
@@ -34,7 +36,6 @@ from .tournament import (
     _k_minimizing_checker,
     degree_profile,
     format_edge_list,
-    from_edge_list,
     landau_bound_check,
     parse_edge_list,
 )
@@ -98,6 +99,27 @@ def _json_text(x, pad: str = "\n") -> str:
     return f"[{inner}" + f",{inner}".join(items) + f"{pad}]"
 
 
+_HALF = Decimal("0.5")
+_LONE_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")
+
+
+def _rate_side(cell: str) -> int:
+    """Where a win-rate cell lies: 1 above 1/2, -1 below, 0 at it, 2 outside
+    [0, 1]. A cell is an exact decimal, read as Decimal, or p/q, read as a
+    Fraction, with underscores only between digits. ValueError or
+    ArithmeticError if it is no finite number (NaN, Infinity, or an exponent
+    beyond Decimal's range)."""
+    if "/" in cell:
+        x = Fraction(cell)
+    elif "_" in cell and _LONE_UNDERSCORE.search(cell):
+        raise ValueError(cell)
+    elif not (x := Decimal(cell)).is_finite():
+        raise ValueError(cell)
+    if not 0 <= x <= 1:
+        return 2
+    return (x > _HALF) - (x < _HALF)  # exact, a Fraction against a Decimal too
+
+
 def parse_win_rate_csv(text: str) -> Tournament:
     """Square win-rate matrix with label header row/column; cell (i,j) is the
     empirical probability that i beats j. > 1/2 is a win, < 1/2 a loss, and an
@@ -112,8 +134,7 @@ def parse_win_rate_csv(text: str) -> Tournament:
         raise CsvParseError("header row carries no labels")
     if len(rows) != n + 1:
         raise CsvParseError(f"expected {n} data rows, found {len(rows) - 1}")
-    half = Fraction(1, 2)
-    rates: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
+    sides: list[list[int]] = []
     for i, row in enumerate(rows[1:]):
         if len(row) != n + 1:
             raise CsvParseError(f"row {i + 2}: expected {n + 1} cells, found {len(row)}")
@@ -122,37 +143,30 @@ def parse_win_rate_csv(text: str) -> Tournament:
                 f"row {i + 2}: row label {row[0].strip()!r} does not match "
                 f"header label {labels[i]!r}"
             )
+        sides.append([])
         for j, cell in enumerate(row[1:]):
-            if i == j:
-                continue
             try:
-                rates[i][j] = Fraction(cell.strip())
-            except (ValueError, ZeroDivisionError):
+                sides[i].append(_rate_side(cell) if i != j else 0)
+            except (ValueError, ArithmeticError):
                 raise CsvParseError(
                     f"row {i + 2}: cell for ({labels[i]}, {labels[j]}) "
                     f"is not a number: {cell.strip()!r}"
                 ) from None
-    edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            rij, rji = rates[i][j], rates[j][i]
-            if rij is None or rji is None:
-                raise CsvParseError(f"missing rate for pair ({labels[i]}, {labels[j]})")
-            if not (0 <= rij <= 1 and 0 <= rji <= 1):
-                raise CsvParseError(f"rate for pair ({labels[i]}, {labels[j]}) is outside [0, 1]")
-            if rij == half or rji == half:
-                raise CsvParseError(
-                    f"rate for pair ({labels[i]}, {labels[j]}) is exactly 0.5; "
-                    "ties cannot be oriented"
-                )
-            if (rij > half) == (rji > half):
-                raise CsvParseError(
-                    f"contradictory rates for pair ({labels[i]}, {labels[j]})"
-                )
-            edges.append((i, j) if rij > half else (j, i))
+            a, b = sides[i][j], sides[j][i]
+            if a * b == -1:
+                continue
+            pair = f"pair ({labels[i]}, {labels[j]})"
+            if 2 in (a, b):
+                raise CsvParseError(f"rate for {pair} is outside [0, 1]")
+            if 0 in (a, b):
+                raise CsvParseError(f"rate for {pair} is exactly 0.5; ties cannot be oriented")
+            raise CsvParseError(f"contradictory rates for {pair}")
+    win = [sum(1 << j for j, side in enumerate(row) if side == 1) for row in sides]
     try:
-        return from_edge_list(n, edges, labels)
-    except ValueError as exc:  # the edges are whole, so only the header can be at fault
+        return Tournament._from_masks(n, win, labels)
+    except ValueError as exc:  # the masks are whole, so only the header can be at fault
         raise CsvParseError(f"header row: {exc}") from None
 
 

@@ -19,21 +19,13 @@ def imbalanced_rps(n: int) -> Tournament:
     if n < 1:
         raise ValueError("need n >= 1")
     size = 2 * n + 1
-    r = lambda i: 2 * (i - 1)
-    p = lambda i: 2 * (i - 1) + 1
-    s = size - 1
-    beats = [[False] * size for _ in range(size)]
-    for i in range(1, n + 1):
-        beats[p(i)][r(i)] = True
-        beats[r(i)][s] = True
-        beats[s][p(i)] = True
-        for j in range(i + 1, n + 1):
-            beats[r(i)][r(j)] = True
-            beats[r(i)][p(j)] = True
-            beats[r(j)][p(i)] = True
-            beats[p(j)][p(i)] = True
+    odd = sum(1 << k for k in range(1, size, 2))  # every p_i
+    win = []
+    for k in range(0, size - 1, 2):  # r_i at k and p_i at k + 1 both beat every earlier p_j
+        below = odd & (1 << k) - 1
+        win += [(1 << size) - (1 << k + 2) | below, 1 << k | below]
     labels = [x for i in range(1, n + 1) for x in (f"r{i}", f"p{i}")] + ["s"]
-    return Tournament(size, beats, labels)
+    return Tournament._from_masks(size, win + [odd], labels)
 
 
 def imbalanced_equilibrium_closed_form(n: int) -> Vector:
@@ -65,11 +57,9 @@ def classic_cycle(n: int) -> Tournament:
     if n < 1 or n % 2 == 0:
         raise ValueError("balanced cycles need an odd object count")
     half = (n - 1) // 2
-    beats = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for step in range(1, half + 1):
-            beats[i][(i + step) % n] = True
-    return Tournament(n, beats)
+    return Tournament._from_masks(
+        n, [sum(1 << (i + step) % n for step in range(1, half + 1)) for i in range(n)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +79,16 @@ def blow_up(g1: Tournament, glue: int | str, g2: Tournament) -> Tournament:
     if not 0 <= l < g1.n:
         raise ValueError(f"glue vertex {glue!r} not in the outer game")
     outer = [i for i in range(g1.n) if i != l]
-    size = len(outer) + g2.n
-    beats = [[False] * size for _ in range(size)]
-    for a, i in enumerate(outer):
-        for b, j in enumerate(outer):
-            beats[a][b] = g1.beats[i][j]
-    for a, i in enumerate(outer):
-        for b in range(g2.n):
-            if g1.beats[i][l]:
-                beats[a][len(outer) + b] = True
-            else:
-                beats[len(outer) + b][a] = True
-    for a in range(g2.n):
-        for b in range(g2.n):
-            beats[len(outer) + a][len(outer) + b] = g2.beats[a][b]
+    # the outer part of each g1 mask, then the whole g2 where the glued object won
+    kept = [sum(1 << a for a, j in enumerate(outer) if w >> j & 1) for w in g1.win]
+    inner = ((1 << g2.n) - 1) << len(outer)
+    win = [kept[i] | (inner if g1.win[i] >> l & 1 else 0) for i in outer]
+    win += [kept[l] | w << len(outer) for w in g2.win]
     glue_label = g1.labels[l]
     labels = [g1.labels[i] for i in outer] + [
         f"{glue_label}.{name}" for name in g2.labels
     ]
-    return Tournament(size, beats, labels)
+    return Tournament._from_masks(len(win), win, labels)
 
 
 def blow_up_matrix(

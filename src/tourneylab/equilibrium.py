@@ -18,17 +18,26 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
-from .tournament import Tournament, _canonical_search, _iso_classes, _unpack, is_strong
+from .tournament import (
+    Tournament,
+    _canonical_search,
+    _iso_classes,
+    _unpack,
+    is_strong,
+    tournament_from_canonical,
+)
 
 SUPPORT_ENUM_LIMIT = 8
 
 
 def payoff_rows(t: Tournament) -> list[list[int]]:
     """Integer rows of the payoff matrix: +1 iff i defeats j, -1 iff j defeats i."""
-    return [
-        [1 if won else (-1 if i != j else 0) for j, won in enumerate(row)]
-        for i, row in enumerate(t.beats)
-    ]
+    rows = []
+    for i, w in enumerate(t.win):
+        row = [1 if bit == "1" else -1 for bit in f"{w:0{t.n}b}"[::-1]]
+        row[i] = 0
+        rows.append(row)
+    return rows
 
 
 def payoff_matrix(t: Tournament) -> RationalMatrix:
@@ -107,13 +116,11 @@ def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, 
     for done, packed in enumerate(parents):
         if _check is not None:
             _check(f"playable classes at {n} objects: {done}/{len(parents)} parent classes")
-        rows = packed_payoff_rows(n, source | packed)
-        neg = sum(1 << i for i, v in enumerate(_signed_kernel(rows)) if v < 0)
-        win = [
-            sum(1 << j for j, a in enumerate(row) if a > 0) ^ (full ^ neg if neg >> i & 1 else neg)
-            for i, row in enumerate(rows)
-        ]
-        form, aut = _canonical_search(win)
+        t = tournament_from_canonical(n, source | packed)
+        neg = sum(1 << i for i, v in enumerate(_signed_kernel(payoff_rows(t))) if v < 0)
+        form, aut = _canonical_search(
+            [w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(t.win)]
+        )
         seen.setdefault(form, aut)
     out = tuple(sorted(seen))
     return out, tuple(seen[form] for form in out)
@@ -335,10 +342,9 @@ def _pure_dominated(t: Tournament, mode: str) -> Iterator[tuple[int, int]]:
     as find_dominated's pure mode defines it. With W_i the objects i beats, k
     weakly dominates i iff k beats i and W_i <= W_k, and strictly iff moreover
     W_i is empty and k beats every other object."""
-    win = [sum(1 << j for j, won in enumerate(row) if won) for row in t.beats]
-    for i, w_i in enumerate(win):
+    for i, w_i in enumerate(t.win):
         need = w_i | 1 << i  # k beats i and everything i beats
-        for k, w_k in enumerate(win):
+        for k, w_k in enumerate(t.win):
             if not need & ~w_k and (mode == "weak" or not w_i and w_k.bit_count() == t.n - 1):
                 yield i, k
                 break

@@ -37,7 +37,7 @@ def uniform_profile(t: Tournament) -> UniformPayoffProfile:
     """Payoff (e_in[i] - e_out[i]) / (n - 1) per object; mean is exactly 0."""
     if t.n < 2:
         raise ValueError("uniform payoffs need at least two objects")
-    diffs = [2 * sum(row) - (t.n - 1) for row in t.beats]
+    diffs = [2 * w.bit_count() - (t.n - 1) for w in t.win]
     score = {d: Fraction(d, t.n - 1) for d in sorted(set(diffs))}
     hist = {score[d]: Fraction(diffs.count(d), t.n) for d in score}
     return UniformPayoffProfile(tuple(score[d] for d in diffs), hist)

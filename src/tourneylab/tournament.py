@@ -3,13 +3,15 @@ structural playability conditions (prefix degree bounds, k-minimizing sets).
 
 Convention used everywhere: ``beats(i, j)`` means object i defeats object j,
 and e_in[i] counts the objects i defeats (a win is an incoming edge at the
-winner). e_out[i] therefore counts i's losses.
+winner). e_out[i] therefore counts i's losses. A tournament is stored as one
+win bitmask per object: bit j of ``win[i]`` is set iff i beats j.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,9 +27,11 @@ class EdgeListParseError(ValueError):
 
 
 class Tournament:
-    """An orientation of the complete graph on n vertices, with optional distinct labels."""
+    """An orientation of the complete graph on n vertices, with optional distinct
+    labels. The win masks are the only stored relation; ``beats`` is the n x n
+    grid derived from them."""
 
-    __slots__ = ("n", "beats", "labels")
+    __slots__ = ("n", "win", "labels", "_grid")
 
     def __init__(
         self,
@@ -37,15 +41,28 @@ class Tournament:
     ):
         if n < 1:
             raise ValueError("tournament needs at least one vertex")
-        rows = tuple(tuple(bool(x) for x in row) for row in beats)
+        rows = [tuple(row) for row in beats]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("beats relation must be an n x n grid")
-        for i in range(n):
-            if rows[i][i]:
+        win = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+        for i, w in enumerate(win):
+            if w >> i & 1:
                 raise ValueError(f"vertex {i} cannot beat itself")
             for j in range(i + 1, n):
-                if rows[i][j] == rows[j][i]:
+                if not (w >> j ^ win[j] >> i) & 1:
                     raise ValueError(f"pair ({i},{j}) must be oriented exactly one way")
+        self._fill(n, win, labels)
+
+    @classmethod
+    def _from_masks(
+        cls, n: int, win: Sequence[int], labels: Sequence[str] | None = None
+    ) -> "Tournament":
+        """The tournament with these win masks, which must already be valid."""
+        t = object.__new__(cls)
+        t._fill(n, win, labels)
+        return t
+
+    def _fill(self, n: int, win: Sequence[int], labels: Sequence[str] | None) -> None:
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         else:
@@ -56,33 +73,37 @@ class Tournament:
                 repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
                 raise ValueError(f"label {repeated!r} names more than one object")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "beats", rows)
+        object.__setattr__(self, "win", tuple(win))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_grid", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Tournament is immutable")
 
+    @property
+    def beats(self) -> tuple[tuple[bool, ...], ...]:
+        """beats[i][j] iff i beats j, built from the masks on first use."""
+        if self._grid is None:
+            grid = tuple(tuple(w >> j & 1 == 1 for j in range(self.n)) for w in self.win)
+            object.__setattr__(self, "_grid", grid)
+        return self._grid
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Tournament)
-            and self.beats == other.beats
+            and self.win == other.win
             and self.labels == other.labels
         )
 
     def __hash__(self) -> int:
-        return hash((self.beats, self.labels))
+        return hash((self.win, self.labels))
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n}, edges={self.edges()})"
 
     def edges(self) -> list[tuple[int, int]]:
         """All (winner, loser) pairs, sorted."""
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.beats[i][j]
-        ]
+        return [(i, j) for i, w in enumerate(self.win) for j in _members(w)]
 
     def label_index(self, label: str) -> int:
         try:
@@ -91,10 +112,21 @@ class Tournament:
             raise KeyError(f"no vertex labeled {label!r}") from None
 
     def relabel(self, labels: Sequence[str]) -> "Tournament":
-        return Tournament(self.n, self.beats, labels)
+        return Tournament._from_masks(self.n, self.win, labels)
 
     def wins(self, i: int) -> int:
-        return sum(self.beats[i])
+        return self.win[i].bit_count()
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    return [j for j, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _loss_masks(t: Tournament) -> list[int]:
+    """One mask per object: bit j of the i-th is set iff j beats i."""
+    full = (1 << t.n) - 1
+    return [full ^ w ^ 1 << i for i, w in enumerate(t.win)]
 
 
 @dataclass(frozen=True)
@@ -114,32 +146,43 @@ def from_edge_list(
     """Build a validated tournament from (winner, loser) pairs.
 
     Every unordered pair must appear exactly once; duplicates, contradictory
-    orientations, self-loops, and missing pairs are errors, found before the
-    n x n grid is built, so that a large n alone costs no memory.
+    orientations, self-loops, and missing pairs are errors.
     """
     if n < 1:
         raise ValueError("tournament needs at least one vertex")
-    given: set[tuple[int, int]] = set()
-    for i, j in edges:
+    return Tournament._from_masks(n, _win_masks(n, list(edges)), labels)
+
+
+def _win_masks(n: int, edges: list[tuple[int, int]], lines: list[int] | None = None) -> list[int]:
+    """Win masks from (winner, loser) edges that must give each pair once.
+
+    A duplicate is a bit already set and a contradiction the reverse bit. Too
+    few edges means a missing pair, so then the masks go in a dict, not an
+    n-long list: a large n alone costs no memory. An error raises ValueError,
+    or EdgeListParseError naming lines[k] for the k-th edge when lines is given.
+    """
+    pairs = n * (n - 1) // 2
+    win = [0] * n if len(edges) >= pairs else defaultdict(int)
+    for k, (i, j) in enumerate(edges):
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
-        if (i, j) in given:
-            raise ValueError(f"duplicate edge ({i},{j})")
-        if (j, i) in given:
-            raise ValueError(f"contradictory pair: both ({j},{i}) and ({i},{j}) given")
-        given.add((i, j))
-    if len(given) < n * (n - 1) // 2:
-        # the first missing pair in row-major order, within len(given) + 1 pairs
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in given and (j, i) not in given:
-                    raise ValueError(f"missing orientation for pair ({i},{j})")
-    beats = [[False] * n for _ in range(n)]
-    for i, j in given:
-        beats[i][j] = True
-    return Tournament(n, beats, labels)
+            message = f"edge ({i},{j}) out of range for n={n}"
+        elif i == j:
+            message = f"self-loop at vertex {i}"
+        elif win[i] >> j & 1:
+            message = f"duplicate edge ({i},{j})"
+        elif win[j] >> i & 1:
+            message = f"contradictory pair: both ({j},{i}) and ({i},{j}) given"
+        else:
+            win[i] |= 1 << j
+            continue
+        raise ValueError(message) if lines is None else EdgeListParseError(message, lines[k])
+    if len(edges) < pairs:
+        # the first missing pair in row-major order, within len(edges) + 1 pairs
+        unordered = ((i, j) for i in range(n) for j in range(i + 1, n))
+        i, j = next((i, j) for i, j in unordered if not (win[i] >> j | win[j] >> i) & 1)
+        message = f"missing orientation for pair ({i},{j})"
+        raise ValueError(message) if lines is None else EdgeListParseError(message)
+    return win
 
 
 def parse_edge_list(text: str) -> Tournament:
@@ -147,23 +190,24 @@ def parse_edge_list(text: str) -> Tournament:
 
     ``#`` starts a comment; ``# label <index> <name>`` comments attach labels;
     each index must lie in [0, n) and be labeled once, and labels must differ.
+    An edge error names the edge's line.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     label_comments: list[tuple[int, int, str]] = []  # (line, index, name)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 3 and parts[0] == "label":
+    for lineno, fields in enumerate(map(str.split, text.splitlines()), start=1):
+        if not fields:
+            continue
+        if fields[0][0] == "#":
+            parts = " ".join(fields)[1:].split()
+            if parts[:1] == ["label"]:
                 try:
-                    label_comments.append((lineno, int(parts[1]), parts[2]))
+                    _, index, name = parts
+                    label_comments.append((lineno, int(index), name))
                 except ValueError:
                     raise EdgeListParseError("bad label comment", lineno) from None
             continue
-        if not line:
-            continue
-        fields = line.split()
         if n is None:
             if len(fields) != 1:
                 raise EdgeListParseError("expected vertex count on first data line", lineno)
@@ -180,6 +224,7 @@ def parse_edge_list(text: str) -> Tournament:
             edges.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise EdgeListParseError("edge endpoints must be integers", lineno) from None
+        edge_lines.append(lineno)
     if n is None:
         raise EdgeListParseError("empty input: no vertex count")
     labels: dict[int, str] = {}
@@ -189,23 +234,25 @@ def parse_edge_list(text: str) -> Tournament:
         if i in labels:
             raise EdgeListParseError(f"label index {i} is already labeled {labels[i]!r}", lineno)
         labels[i] = name
-    # fewer edges than pairs cannot make a tournament, so from_edge_list raises
-    # before it reads labels: the n-long list is built only when it could be used
-    label_seq = None
-    if labels and len(edges) >= n * (n - 1) // 2:
-        label_seq = [labels.get(i, str(i)) for i in range(n)]
+    # fewer edges than pairs cannot make a tournament, so _win_masks raises
+    # first: the n-long label list is built only when it could be used
+    win = _win_masks(n, edges, edge_lines)
+    label_seq = [labels.get(i, str(i)) for i in range(n)] if labels else None
     try:
-        return from_edge_list(n, edges, label_seq)
+        return Tournament._from_masks(n, win, label_seq)
     except ValueError as exc:
         raise EdgeListParseError(str(exc)) from exc
 
 
 def format_edge_list(t: Tournament) -> str:
-    """Serialize in the shared text format, with label comments when non-default."""
+    """Serialize in the shared text format, with label comments when non-default;
+    a label that is empty or holds whitespace cannot be written (ValueError)."""
     lines = [str(t.n)]
     default = tuple(str(i) for i in range(t.n))
     if t.labels != default:
         for i, name in enumerate(t.labels):
+            if name.split() != [name]:
+                raise ValueError(f"label {name!r} is empty or contains whitespace")
             lines.append(f"# label {i} {name}")
     for i, j in t.edges():
         lines.append(f"{i} {j}")
@@ -213,36 +260,29 @@ def format_edge_list(t: Tournament) -> str:
 
 
 def degree_profile(t: Tournament) -> DegreeProfile:
-    e_in = tuple(sum(row) for row in t.beats)
+    e_in = tuple(map(int.bit_count, t.win))
     e_out = tuple(t.n - 1 - w for w in e_in)
     e_min = tuple(min(a, b) for a, b in zip(e_in, e_out))
     return DegreeProfile(e_in, e_out, e_min)
 
 
-def _reachable(n: int, adj: Sequence[Sequence[bool]], start: int) -> int:
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        u = stack.pop()
-        row = adj[u]
-        for v in range(n):
-            if row[v] and not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count
+def _reach(adj: Sequence[int], seen: int) -> int:
+    """The mask of the vertices reachable from the mask seen along adj."""
+    frontier = seen
+    while frontier:
+        step = 0
+        for v in _members(frontier):
+            step |= adj[v]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_strong(t: Tournament) -> bool:
-    """True iff the beats digraph is strongly connected."""
-    if t.n == 1:
-        return True
-    if _reachable(t.n, t.beats, 0) != t.n:
-        return False
-    reverse = tuple(tuple(t.beats[j][i] for j in range(t.n)) for i in range(t.n))
-    return _reachable(t.n, reverse, 0) == t.n
+    """True iff the beats digraph is strongly connected: vertex 0 reaches every
+    vertex along wins, and along losses."""
+    full = (1 << t.n) - 1
+    return _reach(t.win, 1) == full and _reach(_loss_masks(t), 1) == full
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +295,10 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 def canonical_form(t: Tournament) -> int:
     """Lexicographically minimal upper-triangle bit string over all relabelings."""
-    return _canonical_search([sum(1 << u for u in range(t.n) if row[u]) for row in t.beats])[0]
+    return _canonical_search(t.win)[0]
 
 
-def _canonical_search(win: list[int]) -> tuple[int, int]:
+def _canonical_search(win: Sequence[int]) -> tuple[int, int]:
     """(canonical_form, |Aut T|) of the tournament where bit u of win[v] is set
     iff v beats u.
 
@@ -333,10 +373,10 @@ def _unpack(n: int, packed: int) -> list[tuple[int, int, bool]]:
 
 def tournament_from_canonical(n: int, packed: int) -> Tournament:
     """Inverse of the packing used by canonical_form (not re-canonicalized)."""
-    beats = [[False] * n for _ in range(n)]
+    win = [0] * n
     for i, j, i_wins in _unpack(n, packed):
-        beats[i][j], beats[j][i] = i_wins, not i_wins
-    return Tournament(n, beats)
+        win[i if i_wins else j] |= 1 << (j if i_wins else i)
+    return Tournament._from_masks(n, win)
 
 
 # n -> (sorted canonical forms, |Aut T| of each)
@@ -364,9 +404,7 @@ def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
     for done, packed in enumerate(parents):
         if _check is not None:
             _check(f"class build at {n} objects: {done}/{len(parents)} parent classes")
-        win = [0] * m
-        for i, j, i_wins in _unpack(m, packed):
-            win[i if i_wins else j] |= 1 << (j if i_wins else i)
+        win = tournament_from_canonical(m, packed).win
         low = min(w.bit_count() for w in win)
         lows = sum(1 << u for u, w in enumerate(win) if w.bit_count() == low)
         # bit u of pattern: u beats the new vertex; the new vertex beats the rest
@@ -479,7 +517,7 @@ def k_minimizing_check(t: Tournament, k: int) -> bool:
 def _k_minimizing_checker(t: Tournament) -> Callable[[int], bool]:
     """k_minimizing_check(t, .) for valid k, with the beater masks built once."""
     n = t.n
-    beaters = [sum(1 << o for o, won in enumerate(col) if won) for col in zip(*t.beats)]
+    beaters = _loss_masks(t)
     losses = [m.bit_count() for m in beaters]
 
     def check(k: int) -> bool:

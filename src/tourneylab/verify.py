@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .construct import imbalanced_rps
-from .equilibrium import _playable_classes, packed_payoff_rows, tournament_equilibrium
+from .equilibrium import _playable_classes, packed_payoff_rows, payoff_rows, tournament_equilibrium
 from .imbalance import (
     Majorization,
     compare_prefix_sums,
@@ -163,9 +163,9 @@ class _ClassStats:
 def _class_stats(args: tuple[int, int]) -> _ClassStats:
     """Statistics of one playable class."""
     objects, packed = args
-    eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
-    assert eq is not None, f"class {packed} of {objects} objects is not playable"
     t = tournament_from_canonical(objects, packed)
+    eq = tournament_equilibrium(payoff_rows(t))
+    assert eq is not None, f"class {packed} of {objects} objects is not playable"
     profile = uniform_profile(t)
     return _ClassStats(
         packed,
@@ -680,7 +680,7 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, tuple[bool, boo
     probability); an unplayable class gets None."""
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
-    eq = tournament_equilibrium(packed_payoff_rows(objects, packed))
+    eq = tournament_equilibrium(payoff_rows(t))
     if eq is None:
         return packed, is_strong(t), None
     kmin_all = all(map(_k_minimizing_checker(t), range(1, _k_limit(objects) + 1)))

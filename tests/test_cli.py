@@ -145,6 +145,28 @@ def test_analyze_csv_rejects_rates_outside_unit_interval(tmp_path, capsys, good,
     )
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1e-999999999", "error: contradictory rates for pair (a, b)"),
+        ("1e-9999999999999999999",
+         "error: row 2: cell for (a, b) is not a number: '1e-9999999999999999999'"),
+    ],
+    ids=["tiny", "beyond-decimal-range"],
+)
+def test_analyze_csv_extreme_exponent_exits_at_once(tmp_path, cell, message):
+    # as a Fraction the first cell expands 10**999999999 and never returns
+    path = tmp_path / "exp.csv"
+    path.write_text(f",a,b\na,,{cell}\nb,0.3,\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tourneylab.cli", "analyze", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")
+
+
 def test_analyze_csv_rejects_contradiction(tmp_path, capsys):
     bad = WELL_CSV.replace("0.8", "0.3")
     path = tmp_path / "contra.csv"

@@ -177,6 +177,55 @@ def test_parse_errors_carry_line_numbers():
     assert err is not None and "contradictory" in str(err)
 
 
+@pytest.mark.parametrize(
+    "text, edges, line, message",
+    [
+        ("3\n0 1\n1 0\n1 2\n", [(0, 1), (1, 0), (1, 2)], 3,
+         "contradictory pair: both (0,1) and (1,0) given"),
+        ("3\n0 1\n\n# note\n0 1\n", [(0, 1), (0, 1)], 5, "duplicate edge (0,1)"),
+        ("3\n0 1\n2 2\n", [(0, 1), (2, 2)], 3, "self-loop at vertex 2"),
+        ("3\n0 1\n1 2\n0 3\n", [(0, 1), (1, 2), (0, 3)], 4, "edge (0,3) out of range for n=3"),
+        ("3\n-1 0\n", [(-1, 0)], 2, "edge (-1,0) out of range for n=3"),
+        ("3\n0 1\n1 2\n", [(0, 1), (1, 2)], None, "missing orientation for pair (0,2)"),
+    ],
+    ids=["contradictory", "duplicate", "self-loop", "past-n", "negative", "missing"],
+)
+def test_edge_errors_name_their_line(text, edges, line, message):
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+    with pytest.raises(ValueError) as api:
+        from_edge_list(3, edges)
+    assert str(api.value) == message
+
+
+@pytest.mark.parametrize(
+    "comment", ["# label 0 rock paper", "# label 0", "# label", "#label 0 a b", "# label x a"]
+)
+def test_label_comment_needs_an_index_and_one_name(comment):
+    with pytest.raises(EdgeListParseError, match="^line 2: bad label comment$"):
+        parse_edge_list(f"3\n{comment}\n0 1\n1 2\n2 0\n")
+
+
+def test_comments_that_only_start_like_labels_are_ignored():
+    t = parse_edge_list("3\n# labels 0 a b\n# labelled\n0 1\n1 2\n2 0\n")
+    assert t.labels == ("0", "1", "2")
+
+
+@pytest.mark.parametrize("bad", ["rock paper", "", " rock", "tab\there", "line\u2028break"])
+def test_format_edge_list_rejects_labels_it_cannot_write(bad):
+    t = from_edge_list(3, [(0, 1), (1, 2), (2, 0)], labels=[bad, "b", "c"])
+    with pytest.raises(ValueError, match="is empty or contains whitespace") as err:
+        format_edge_list(t)
+    assert repr(bad) in str(err.value)
+
+
+def test_format_and_parse_round_trip_labels_exactly():
+    t = from_edge_list(3, [(0, 1), (1, 2), (2, 0)], labels=["rock#1", "p.q", "\u00e9t\u00e9"])
+    assert parse_edge_list(format_edge_list(t)) == t
+
+
 def test_tournament_is_immutable(classic3):
     with pytest.raises(AttributeError):
         classic3.n = 5
