@@ -18,14 +18,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
-from .tournament import (
-    Tournament,
-    _canonical_search,
-    _iso_classes,
-    _unpack,
-    is_strong,
-    tournament_from_canonical,
-)
+from .tournament import Tournament, _extended_classes, _unpack, is_strong
 
 SUPPORT_ENUM_LIMIT = 8
 
@@ -107,23 +100,16 @@ def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, 
     `_check` is polled with each parent's progress, for a time budget."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"playable classes are built for odd n >= 3, got {n}")
-    m = n - 1
-    parents = _iso_classes(m, _check)
-    # the source as vertex 0: its row of wins leads the packing, the parent's pairs follow
-    source = ((1 << m) - 1) << (m * (m - 1) // 2)
+    return _extended_classes(n, _source_switched_to_positive, "playable classes", _check)
+
+
+def _source_switched_to_positive(win: tuple[int, ...]) -> list[list[int]]:
+    """The game plus a source, switched to positive, as its only extension."""
+    n = len(win) + 1
+    t = Tournament._from_masks(n, [*win, (1 << (n - 1)) - 1])
+    neg = sum(1 << i for i, v in enumerate(_signed_kernel(payoff_rows(t))) if v < 0)
     full = (1 << n) - 1
-    seen: dict[int, int] = {}
-    for done, packed in enumerate(parents):
-        if _check is not None:
-            _check(f"playable classes at {n} objects: {done}/{len(parents)} parent classes")
-        t = tournament_from_canonical(n, source | packed)
-        neg = sum(1 << i for i, v in enumerate(_signed_kernel(payoff_rows(t))) if v < 0)
-        form, aut = _canonical_search(
-            [w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(t.win)]
-        )
-        seen.setdefault(form, aut)
-    out = tuple(sorted(seen))
-    return out, tuple(seen[form] for form in out)
+    return [[w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(t.win)]]
 
 
 @dataclass(frozen=True)

@@ -383,42 +383,48 @@ def tournament_from_canonical(n: int, packed: int) -> Tournament:
 _ISO_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((0,), (1,))}
 
 
-def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
-    """Sorted canonical forms of all isomorphism classes, by vertex extension.
-
-    Deleting a vertex with the fewest wins from an n-class leaves an (n-1)-class,
-    so only extensions whose new vertex has the fewest wins are canonicalized.
-    Each class's |Aut T| comes from the search of the first extension that
-    reaches it (see _automorphism_counts). Cached once complete; `_check` is
-    polled with each parent's progress, for a time budget. n = 9 serves the
-    opt-in structural run; public enumeration stops at 8.
-    """
-    if n > 9:
-        raise ValueError("isomorphism classes are built for n <= 9 only")
-    cached = _ISO_CACHE.get(n)
-    if cached is not None:
-        return cached[0]
-    m = n - 1
-    parents = _iso_classes(m, _check)
+def _extended_classes(
+    n: int, extensions: Callable[[tuple[int, ...]], Iterable[list[int]]], phase: str, _check=None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sorted canonical forms, |Aut T| of each) of the n-object games that
+    `extensions` makes from the win masks of each (n-1)-class, |Aut T| from the
+    search of the first extension that reaches each form. `_check` is polled
+    with each parent's progress under `phase`, for a time budget."""
+    parents = _iso_classes(n - 1, _check)
     seen: dict[int, int] = {}
     for done, packed in enumerate(parents):
         if _check is not None:
-            _check(f"class build at {n} objects: {done}/{len(parents)} parent classes")
-        win = tournament_from_canonical(m, packed).win
-        low = min(w.bit_count() for w in win)
-        lows = sum(1 << u for u, w in enumerate(win) if w.bit_count() == low)
-        # bit u of pattern: u beats the new vertex; the new vertex beats the rest
-        for pattern in range(1 << m):
-            new_wins = m - pattern.bit_count()
-            if new_wins > low and (new_wins > low + 1 or lows & ~pattern):
-                continue
-            ext = [w | (pattern >> u & 1) << m for u, w in enumerate(win)]
-            ext.append((1 << m) - 1 & ~pattern)
-            form, aut = _canonical_search(ext)
-            seen.setdefault(form, aut)
+            _check(f"{phase} at {n} objects: {done}/{len(parents)} parent classes")
+        for ext in extensions(tournament_from_canonical(n - 1, packed).win):
+            seen.setdefault(*_canonical_search(ext))
     out = tuple(sorted(seen))
-    _ISO_CACHE[n] = out, tuple(seen[form] for form in out)
-    return out
+    return out, tuple(seen[form] for form in out)
+
+
+def _min_wins_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
+    """The extensions of a game by a new vertex with the fewest wins: deleting
+    such a vertex from an n-class leaves an (n-1)-class, so they reach every
+    n-class."""
+    m = len(win)
+    low = min(w.bit_count() for w in win)
+    lows = sum(1 << u for u, w in enumerate(win) if w.bit_count() == low)
+    # bit u of pattern: u beats the new vertex; the new vertex beats the rest
+    for pattern in range(1 << m):
+        new_wins = m - pattern.bit_count()
+        if new_wins <= low or new_wins == low + 1 and not lows & ~pattern:
+            ext = [w | (pattern >> u & 1) << m for u, w in enumerate(win)]
+            yield ext + [(1 << m) - 1 & ~pattern]
+
+
+def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
+    """Sorted canonical forms of all isomorphism classes, by min-wins vertex
+    extension of the (n-1)-classes; cached once complete. n = 9 is allowed as
+    the parents of an 11-object playable stream; public enumeration stops at 8."""
+    if n > 9:
+        raise ValueError("isomorphism classes are built for n <= 9 only")
+    if n not in _ISO_CACHE:
+        _ISO_CACHE[n] = _extended_classes(n, _min_wins_extensions, "class build", _check)
+    return _ISO_CACHE[n][0]
 
 
 def _automorphism_counts(n: int, _check=None) -> tuple[int, ...]:
@@ -452,6 +458,17 @@ def _class_count(n: int) -> int:
         z = math.prod(k ** parts.count(k) * math.factorial(parts.count(k)) for k in set(parts))
         total += (math.factorial(n) // z) << e
     return total // math.factorial(n)
+
+
+def _strong_count(n: int) -> int:
+    """Number of strong n-object classes, from Davis's counts t_k. A tournament
+    is a transitive chain of its strong components, so t_n is the sum over k of
+    s_k t_(n-k), with t_0 = 1 (Moon, Topics on Tournaments, 1968; OEIS A051337)."""
+    t = [_class_count(k) for k in range(n + 1)]
+    s = [0]
+    for m in range(1, n + 1):
+        s.append(t[m] - sum(s[k] * t[m - k] for k in range(1, m)))
+    return s[n]
 
 
 def _orbit_masks(n: int, packed: int) -> list[int]:

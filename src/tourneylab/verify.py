@@ -4,16 +4,14 @@ even-order/structural lemmas, over all tournaments of the requested size.
 Reports are plain dataclasses with deterministic JSON and Markdown renderings;
 two runs produce byte-identical output. Every suite runs over isomorphism
 classes from one class source and first asserts that their orbit weights
-n!/|Aut T| add up to the labeled games the source covers. The even and
-structural suites take every class, which covers all 2^C(n,2) labeled games.
-One Pfaffian elimination (`equilibrium.tournament_equilibrium`, exact by Knuth,
-Electron. J. Combin. 3(2), 1996, R5) decides playability, asserting that every
-even sub-tournament has an odd Pfaffian (the even suite checks this apart).
-Strongness is a tallied cross-check only: necessary, not sufficient. The
-theorem suite takes only the playable classes, built by switching
+n!/|Aut T| add up to the labeled games the source covers. The even suite alone
+takes every class, which covers all 2^C(n,2) labeled games. One Pfaffian
+elimination (`equilibrium.tournament_equilibrium`, exact by Knuth, Electron. J.
+Combin. 3(2), 1996, R5) decides playability, asserting that every even
+sub-tournament has an odd Pfaffian (the even suite checks this apart). The
+other suites take only the playable classes, built by switching
 (`equilibrium._playable_classes`): one labeled playable game per switching
-class, 2^C(n-1,2) in all.
-"""
+class, 2^C(n-1,2) in all; their counts of other classes come from formulas."""
 
 from __future__ import annotations
 
@@ -51,6 +49,7 @@ from .tournament import (
     _k_limit,
     _k_minimizing_checker,
     _orbit_masks,
+    _strong_count,
 )
 
 BUDGET_ENV_VAR = "TOURNEYLAB_BUDGET_SECS"
@@ -674,17 +673,32 @@ class StructuralLemmasReport:
         ) + "\n"
 
 
-def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, tuple[bool, bool, Fraction] | None]:
-    """(packed, strong, checks). For a playable class the checks are (degree-prefix
-    bounds hold, every k-minimizing condition holds, largest equilibrium
-    probability); an unplayable class gets None."""
+def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, Fraction]:
+    """(packed, degree-prefix bounds hold, every k-minimizing condition holds,
+    largest equilibrium probability) of one playable class, which must be strong."""
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
     eq = tournament_equilibrium(payoff_rows(t))
-    if eq is None:
-        return packed, is_strong(t), None
+    assert eq is not None and is_strong(t), f"class {packed} is not playable and strong"
     kmin_all = all(map(_k_minimizing_checker(t), range(1, _k_limit(objects) + 1)))
-    return packed, is_strong(t), (landau_bound_check(t), kmin_all, max(eq))
+    return packed, landau_bound_check(t), kmin_all, max(eq)
+
+
+def _strong_unplayable_examples(n: int, count: int) -> tuple[int, ...]:
+    """The `count` smallest canonical forms of strong unplayable n-object
+    classes, by an upward scan of the packed masks. Row 0 leads the packing, so
+    a mask below 2^C(n-1,2) makes vertex 0 a sink: its game is not strong."""
+    found: list[int] = []
+    for packed in range(1 << ((n - 1) * (n - 2) // 2), 1 << (n * (n - 1) // 2)):
+        if len(found) == count:
+            break
+        t = tournament_from_canonical(n, packed)
+        if (is_strong(t) and canonical_form(t) == packed
+                and tournament_equilibrium(payoff_rows(t)) is None):
+            found.append(packed)
+    if len(found) < count:
+        raise RuntimeError(f"found {len(found)} strong unplayable {n}-object classes, not {count}")
+    return tuple(found)
 
 
 def _structural_bounds(n: int, allow_large: bool) -> None:
@@ -702,41 +716,24 @@ def verify_structural_lemmas(
 ) -> StructuralLemmasReport:
     """Playable classes must meet the degree-prefix bounds, every k-minimizing
     condition, and the 1/3 probability cap; classes failing the k-minimizing
-    condition must be unplayable. n <= 7 by default; n = 9 only with
-    allow_large, and subject to the budget."""
+    condition must be unplayable. Only the playable classes are built. n <= 7
+    by default; n = 9 only with allow_large, and subject to the budget."""
     _structural_bounds(n, allow_large)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     [(_, rows)] = _class_sweep(
-        [n], _every_class, _structural_stats, jobs, deadline, "structural checks"
+        [n], _playable_only, _structural_stats, jobs, deadline, "structural checks"
     )
-    landau_fail, kmin_fail, prob_fail = [], [], []
-    strong_unplayable = []
-    playable_count = strong_count = 0
-    third = Fraction(1, 3)
-    for packed, strong, checks in rows:
-        if strong:
-            strong_count += 1
-        if checks is None:
-            if strong:
-                strong_unplayable.append(packed)
-            continue
-        playable_count += 1
-        landau, kmin_all, max_prob = checks
-        if not landau:
-            landau_fail.append(packed)
-        if not kmin_all:
-            kmin_fail.append(packed)
-        if max_prob > third:
-            prob_fail.append(packed)
+    strong_count = _strong_count(n)
+    unplayable = strong_count - len(rows)  # every playable game is strong
     return StructuralLemmasReport(
         n=n,
-        class_count=len(rows),
-        playable_count=playable_count,
+        class_count=_class_count(n),
+        playable_count=len(rows),
         strong_count=strong_count,
-        strong_but_unplayable_count=len(strong_unplayable),
-        strong_but_unplayable_examples=tuple(strong_unplayable[:5]),
-        landau_failures=tuple(landau_fail),
-        k_minimizing_failures=tuple(kmin_fail),
-        max_probability_failures=tuple(prob_fail),
+        strong_but_unplayable_count=unplayable,
+        strong_but_unplayable_examples=_strong_unplayable_examples(n, min(5, unplayable)),
+        landau_failures=tuple(c for c, landau, _, _ in rows if not landau),
+        k_minimizing_failures=tuple(c for c, _, kmin_all, _ in rows if not kmin_all),
+        max_probability_failures=tuple(c for c, _, _, top in rows if top > Fraction(1, 3)),
     )

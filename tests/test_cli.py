@@ -551,7 +551,8 @@ def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
         # then one poll per distinct (win sequence, variance) of the 12 classes
         (["theorem", "--n", "3"], 6, 57, "Schur pass over wins at 7 objects: 0/6 groups"),
         (["theorem", "--n", "3"], 6, 63, "Schur pass over equilibria at 7 objects: 0/10 groups"),
-        (["structural", "--objects", "7"], 7, 1, "structural checks at 7 objects: 64/456 classes"),
+        # one poll per 6-object parent, then the first of the 12 playable classes
+        (["structural", "--objects", "7"], 6, 56, "structural checks at 7 objects: 0/12 classes"),
         # one poll each at 2, 4 and 6 objects, then one every 64 classes at 8
         (["even", "--max-n", "8"], 8, 13, "even sweep at 8 objects: 640/6880 classes"),
     ],

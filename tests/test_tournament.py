@@ -29,6 +29,7 @@ from tourneylab.tournament import (
     _iso_classes,
     _k_limit,
     _orbit_masks,
+    _strong_count,
     tournament_from_canonical,
 )
 from tests.conftest import make_transitive
@@ -39,6 +40,8 @@ CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
 DAVIS_COUNTS = CLASS_COUNTS | {9: 191536, 10: 9733056, 11: 903753248}
 # published counts of strong tournaments up to isomorphism, n = 1..8 (OEIS A051337)
 STRONG_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6, 6: 35, 7: 353, 8: 6008}
+# the same sequence on to n = 11
+STRONG_DAVIS_COUNTS = STRONG_COUNTS | {9: 178133, 10: 9355949, 11: 884464590}
 
 
 def brute_iso_classes(n: int) -> tuple[int, ...]:
@@ -296,6 +299,16 @@ def test_class_count_formula(n):
     assert _class_count(n) == DAVIS_COUNTS[n]
     if n <= 8:
         assert _class_count(n) == len(_iso_classes(n))
+
+
+@pytest.mark.parametrize("n", sorted(STRONG_DAVIS_COUNTS))
+def test_strong_count_recurrence(n):
+    # the strong-component recurrence over Davis's counts against the published
+    # counts and, up to 8 objects, against the strong classes of the class build
+    assert _strong_count(n) == STRONG_DAVIS_COUNTS[n]
+    if n <= 8:
+        strong = sum(is_strong(tournament_from_canonical(n, c)) for c in _iso_classes(n))
+        assert _strong_count(n) == strong
 
 
 @pytest.mark.parametrize("n", range(1, 8))

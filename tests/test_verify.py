@@ -20,6 +20,9 @@ from tourneylab import (
     compare_entropies,
     imbalanced_equilibrium_closed_form,
     imbalanced_rps,
+    is_strong,
+    k_minimizing_check,
+    landau_bound_check,
     majorizes,
     verify_even_unplayable,
     verify_structural_lemmas,
@@ -28,11 +31,12 @@ from tourneylab import (
 from tourneylab import tournament, verify
 from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
 from tourneylab.imbalance import compare_prefix_sums
-from tourneylab.tournament import _iso_classes, degree_profile, tournament_from_canonical
+from tourneylab.tournament import _iso_classes, _k_limit, degree_profile, tournament_from_canonical
 from tourneylab.verify import (
     FLOAT_ENTROPY_SEPARATION,
     EvenOrderResult,
     EvenUnplayabilityReport,
+    StructuralLemmasReport,
     _entropy_float,
     _even_checks,
     _schur_violations,
@@ -258,6 +262,53 @@ def test_structural_n5_counts():
     assert not rep.k_minimizing_failures
     assert not rep.max_probability_failures
     assert not rep.contrapositive_failures
+
+
+def brute_structural_report(n: int) -> StructuralLemmasReport:
+    """The structural report from the full class build: every class checked
+    for playability and strongness, and the playable ones for each condition."""
+    classes = []
+    for c in _iso_classes(n):
+        t = tournament_from_canonical(n, c)
+        classes.append((c, t, tournament_equilibrium(payoff_rows(t))))
+    playable = [(c, t, eq) for c, t, eq in classes if eq is not None]
+    strong_unplayable = [c for c, t, eq in classes if eq is None and is_strong(t)]
+    return StructuralLemmasReport(
+        n=n,
+        class_count=len(classes),
+        playable_count=len(playable),
+        strong_count=sum(is_strong(t) for _, t, _ in classes),
+        strong_but_unplayable_count=len(strong_unplayable),
+        strong_but_unplayable_examples=tuple(strong_unplayable[:5]),
+        landau_failures=tuple(c for c, t, _ in playable if not landau_bound_check(t)),
+        k_minimizing_failures=tuple(
+            c for c, t, _ in playable
+            if not all(k_minimizing_check(t, k) for k in range(1, _k_limit(n) + 1))
+        ),
+        max_probability_failures=tuple(c for c, _, eq in playable if max(eq) > F(1, 3)),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_structural_matches_the_full_class_build(n):
+    assert verify_structural_lemmas(n).to_json_dict() == brute_structural_report(n).to_json_dict()
+
+
+def test_structural_builds_no_class_of_its_own_size(monkeypatch):
+    # the 7-object run switches the 6-object classes; its counts of all and of
+    # strong classes come from formulas, so the 7-object class build never runs
+    monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
+    rep = verify_structural_lemmas(7)
+    assert (rep.class_count, rep.playable_count, rep.strong_count) == (456, 12, 353)
+    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5, 6]
+
+
+def test_strong_unplayable_scan_stops_at_the_last_mask():
+    # 5 objects have exactly 4 strong unplayable classes: asking for a fifth
+    # scans every mask and raises instead of looping
+    assert verify._strong_unplayable_examples(5, 4) == (64, 66, 72, 81)
+    with pytest.raises(RuntimeError, match="found 4 strong unplayable 5-object classes, not 5"):
+        verify._strong_unplayable_examples(5, 5)
 
 
 def test_structural_failure_lists(monkeypatch):
