@@ -11,14 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from enum import Enum
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
-from .tournament import Tournament, _extended_classes, _unpack, is_strong
+from .tournament import Tournament, _extended_classes, _iso_classes, _unpack, is_strong
+from .tournament import _min_wins_extensions
 
 SUPPORT_ENUM_LIMIT = 8
 
@@ -47,14 +48,20 @@ def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
     return rows
 
 
-def _signed_kernel(rows: list[list[int]]) -> list[int] | None:
+@lru_cache(maxsize=1 << 12)
+def _sign_row(w: int, n: int) -> tuple[int, ...]:
+    """+1 where bit j < n of win mask w is set, else -1: a payoff row, right of its diagonal."""
+    return tuple((w >> j & 1) * 2 - 1 for j in range(n))
+
+
+def _signed_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """((-1)**i Pf A_ii)_i, A_ii being A without row and column i: the kernel of
     an odd tournament game's payoff rows A; None for an even game. Fraction-free
-    Pfaffian elimination in 2x2 pivot blocks by congruence on the upper triangle
-    leaves Pfaffians of even principal sub-tournaments as entries, with exact
-    divisions by Knuth's overlapping-Pfaffian identity (Electron. J. Combin. 3(2),
-    1996, R5). Mod 2 a tournament matrix is J - I, so each one is odd: no pivot
-    search, and the asserted odd pivots make every even game nonsingular."""
+    Pfaffian elimination in 2x2 pivot blocks by congruence on the upper triangle,
+    all it reads, leaves Pfaffians of even principal sub-tournaments as entries,
+    with exact divisions by Knuth's overlapping-Pfaffian identity (Electron. J.
+    Combin. 3(2), 1996, R5). Mod 2 a tournament matrix is J - I, so each one is
+    odd: no pivot search, and the asserted odd pivots make every even game nonsingular."""
     n = len(rows)
     up = [row[i + 1 :] for i, row in enumerate(rows)]
     prev = 1
@@ -87,29 +94,41 @@ def tournament_equilibrium(rows: list[list[int]]) -> Vector | None:
 
 def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted canonical forms, |Aut T| of each) of the playable classes of odd
-    n >= 3 objects, by switching (Babai & Cameron 2000).
+    n >= 3 objects, by switching (Babai & Cameron 2000), in one pass over the
+    (n-2)-classes.
 
     Reversing every arc between a set S and its complement maps the payoff
     matrix A to DAD, with D = diag(+-1) negative on S, and so the kernel vector
     x to Dx. x holds the Pfaffians of the even sub-tournaments, all odd, so
     S = {i : x_i < 0} (or its complement, the same switch) makes the game
-    playable, and no other switch does. Any vertex can be switched into a
-    source, so every playable class is an (n-1)-class plus a source, switched
-    to positive: per parent class, one Pfaffian elimination, exact by Knuth's
-    identity (Electron. J. Combin. 3(2), 1996, R5), and one canonical search.
-    `_check` is polled with each parent's progress, for a time budget."""
+    playable, and no other switch does. Each min-wins extension of each
+    (n-2)-class gets a source s and that switch, from one Pfaffian elimination,
+    and is canonicalized only if s is extremal: the largest |x_s| and, among
+    the vertices that tie on it, the most wins in the switched game (canonical
+    augmentation, McKay, J. Algorithms 26, 1998). Every playable class T is
+    reached: switch its extremal vertex into a source (|x| stays), delete it,
+    and delete the extremal min-wins vertex of what is left. That leaves an
+    (n-2)-class whose form extends back, and the source added and switched
+    gives T. `_check` is polled per parent, for a time budget."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"playable classes are built for odd n >= 3, got {n}")
-    return _extended_classes(n, _source_switched_to_positive, "playable classes", _check)
+    parents, phase = _iso_classes(n - 2, _check), f"playable classes at {n} objects"
+    return _extended_classes(parents, n - 2, _switched_extensions, phase, _check)
 
 
-def _source_switched_to_positive(win: tuple[int, ...]) -> list[list[int]]:
-    """The game plus a source, switched to positive, as its only extension."""
-    n = len(win) + 1
-    t = Tournament._from_masks(n, [*win, (1 << (n - 1)) - 1])
-    neg = sum(1 << i for i, v in enumerate(_signed_kernel(payoff_rows(t))) if v < 0)
+def _switched_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
+    """The min-wins extensions of the game plus a source s, switched to
+    positive, in which s is extremal as `_playable_classes` says."""
+    n = len(win) + 2
     full = (1 << n) - 1
-    return [[w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(t.win)]]
+    for ext in _min_wins_extensions(win):
+        ext.append(full >> 1)
+        x = _signed_kernel([_sign_row(w, n) for w in ext])
+        neg = sum(1 << i for i, v in enumerate(x) if v < 0)
+        ext = [w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(ext)]
+        rank = [(abs(v), w.bit_count()) for v, w in zip(x, ext)]
+        if rank[-1] == max(rank):
+            yield ext
 
 
 @dataclass(frozen=True)

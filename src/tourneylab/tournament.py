@@ -384,27 +384,27 @@ _ISO_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((0,), (1,)
 
 
 def _extended_classes(
-    n: int, extensions: Callable[[tuple[int, ...]], Iterable[list[int]]], phase: str, _check=None
+    parents: Sequence[int], size: int, extensions: Callable, phase: str, _check=None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sorted canonical forms, |Aut T| of each) of the n-object games that
-    `extensions` makes from the win masks of each (n-1)-class, |Aut T| from the
-    search of the first extension that reaches each form. `_check` is polled
-    with each parent's progress under `phase`, for a time budget."""
-    parents = _iso_classes(n - 1, _check)
+    """(sorted canonical forms, |Aut T| of each) of the games that `extensions`
+    makes from the win masks of each parent form of `size` objects, |Aut T|
+    from the search of the first extension that reaches each form. `_check` is
+    polled with each parent's progress under `phase`, for a time budget."""
     seen: dict[int, int] = {}
     for done, packed in enumerate(parents):
         if _check is not None:
-            _check(f"{phase} at {n} objects: {done}/{len(parents)} parent classes")
-        for ext in extensions(tournament_from_canonical(n - 1, packed).win):
+            _check(f"{phase}: {done}/{len(parents)} parent classes")
+        for ext in extensions(tournament_from_canonical(size, packed).win):
             seen.setdefault(*_canonical_search(ext))
     out = tuple(sorted(seen))
     return out, tuple(seen[form] for form in out)
 
 
 def _min_wins_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
-    """The extensions of a game by a new vertex with the fewest wins: deleting
-    such a vertex from an n-class leaves an (n-1)-class, so they reach every
-    n-class."""
+    """The extensions of a game by a new vertex with the fewest wins and, among
+    the vertices with as few, the largest sum of its victims' wins. Deleting
+    such a vertex of an n-class T, extremal by these invariants, leaves an
+    (n-1)-class, whose form extends back to T: they reach every n-class."""
     m = len(win)
     low = min(w.bit_count() for w in win)
     lows = sum(1 << u for u, w in enumerate(win) if w.bit_count() == low)
@@ -413,7 +413,11 @@ def _min_wins_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
         new_wins = m - pattern.bit_count()
         if new_wins <= low or new_wins == low + 1 and not lows & ~pattern:
             ext = [w | (pattern >> u & 1) << m for u, w in enumerate(win)]
-            yield ext + [(1 << m) - 1 & ~pattern]
+            ext.append((1 << m) - 1 & ~pattern)
+            wins = [w.bit_count() for w in ext]
+            mass = [sum(wins[u] for u in _members(w)) for w, k in zip(ext, wins) if k == new_wins]
+            if mass[-1] == max(mass):
+                yield ext
 
 
 def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
@@ -423,7 +427,8 @@ def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
     if n > 9:
         raise ValueError("isomorphism classes are built for n <= 9 only")
     if n not in _ISO_CACHE:
-        _ISO_CACHE[n] = _extended_classes(n, _min_wins_extensions, "class build", _check)
+        parents, phase = _iso_classes(n - 1, _check), f"class build at {n} objects"
+        _ISO_CACHE[n] = _extended_classes(parents, n - 1, _min_wins_extensions, phase, _check)
     return _ISO_CACHE[n][0]
 
 

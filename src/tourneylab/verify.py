@@ -6,16 +6,17 @@ two runs produce byte-identical output. Every suite runs over isomorphism
 classes from one class source and first asserts that their orbit weights
 n!/|Aut T| add up to the labeled games the source covers. The even suite alone
 takes every class, which covers all 2^C(n,2) labeled games. One Pfaffian
-elimination (`equilibrium.tournament_equilibrium`, exact by Knuth, Electron. J.
-Combin. 3(2), 1996, R5) decides playability, asserting that every even
+elimination (`equilibrium._signed_kernel`, exact by Knuth, Electron. J. Combin.
+3(2), 1996, R5) gives each class's integer kernel, asserting that every even
 sub-tournament has an odd Pfaffian (the even suite checks this apart). The
-other suites take only the playable classes, built by switching
-(`equilibrium._playable_classes`): one labeled playable game per switching
-class, 2^C(n-1,2) in all; their counts of other classes come from formulas."""
+other suites take only the playable classes (`equilibrium._playable_classes`:
+the (n-2)-classes extended, given a source and switched): one labeled playable
+game per switching class, 2^C(n-1,2) in all; other counts come from formulas."""
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import time
@@ -26,20 +27,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .construct import imbalanced_rps
-from .equilibrium import _playable_classes, packed_payoff_rows, payoff_rows, tournament_equilibrium
-from .imbalance import (
-    Majorization,
-    compare_prefix_sums,
-    descending_prefix_sums,
-    nash_entropy,
-    nash_ties,
-    uniform_profile,
-    ui_variance,
-)
+from .equilibrium import _playable_classes, _sign_row, _signed_kernel, packed_payoff_rows
+from .equilibrium import payoff_rows, tournament_equilibrium
+from .imbalance import Majorization, compare_prefix_sums, nash_entropy
 from .rational import Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
     canonical_form,
-    degree_profile,
     is_strong,
     landau_bound_check,
     tournament_from_canonical,
@@ -160,20 +153,23 @@ class _ClassStats:
 
 
 def _class_stats(args: tuple[int, int]) -> _ClassStats:
-    """Statistics of one playable class."""
+    """Statistics of one playable class, from its integer kernel x (the
+    equilibrium is x / sum(x)) and its win counts w: payoffs (2w - n + 1)/(n - 1)."""
     objects, packed = args
-    t = tournament_from_canonical(objects, packed)
-    eq = tournament_equilibrium(payoff_rows(t))
-    assert eq is not None, f"class {packed} of {objects} objects is not playable"
-    profile = uniform_profile(t)
+    win = tournament_from_canonical(objects, packed).win
+    x = _signed_kernel([_sign_row(w, objects) for w in win])
+    assert min(x) > 0 or max(x) < 0, f"class {packed} of {objects} objects is not playable"
+    x = sorted(map(abs, x), reverse=True)
+    total = sum(x)
+    wins = sorted((w.bit_count() for w in win), reverse=True)
     return _ClassStats(
         packed,
-        wins_prefix=descending_prefix_sums(degree_profile(t).e_in),
-        ui_v=ui_variance(profile),
-        ties=nash_ties(eq),
-        score_masses=tuple(profile.score_distribution.values()),
-        equilibrium_sorted=tuple(sorted(eq, reverse=True)),
-        equilibrium_prefix=descending_prefix_sums(eq),
+        wins_prefix=tuple(map(Fraction, itertools.accumulate(wins))),
+        ui_v=Fraction(sum((2 * w - objects + 1) ** 2 for w in wins), (objects - 1) ** 2 * objects),
+        ties=Fraction(sum(v * v for v in x), total * total),
+        score_masses=tuple(Fraction(c, objects) for _, c in sorted(Counter(wins).items())),
+        equilibrium_sorted=tuple(Fraction(v, total) for v in x),
+        equilibrium_prefix=tuple(Fraction(v, total) for v in itertools.accumulate(x)),
     )
 
 

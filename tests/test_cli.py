@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -401,6 +402,25 @@ def test_verify_reports_match_pinned_digests(tmp_path, capsys):
     assert digests == REPORT_DIGESTS
 
 
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+def test_nine_object_reports_match_the_committed_results(tmp_path, capsys):
+    # the theorem run fails criterion (d) at 9 objects, so it exits 1
+    for args, expected_code in (
+        (["theorem", "--n", "4"], 1),
+        (["structural", "--objects", "9"], 0),
+    ):
+        code, _, _ = run_cli(
+            ["verify", *args, "--allow-large", "--jobs", "1", "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == expected_code
+    names = ["structural_n9.json", "structural_n9.md", "theorem_n4.json", "theorem_n4.md"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+
+
 ODD_LABELS_EDGES = '3\n# label 0 é\n# label 1 a"b\n# label 2 c\\d\n0 1\n1 2\n2 0\n'
 
 
@@ -529,30 +549,30 @@ def test_verify_budget_exceeded_exit_3(tmp_path, capsys):
 
 
 def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
-    # the 7-object theorem run builds the 6-object classes to switch; with the
-    # 5-object classes cached, the first 6-object parent finds the budget spent
-    tournament._iso_classes(5)
-    cached = {n: tournament._ISO_CACHE[n] for n in range(1, 6)}
+    # the 7-object theorem run builds the 5-object classes to extend; with the
+    # 4-object classes cached, the first 5-object parent finds the budget spent
+    tournament._iso_classes(4)
+    cached = {n: tournament._ISO_CACHE[n] for n in range(1, 5)}
     monkeypatch.setattr(tournament, "_ISO_CACHE", cached)
     code, _, err = run_cli(
         ["verify", "theorem", "--n", "3", "--budget", "0", "--out-dir", str(tmp_path)], capsys
     )
     assert code == 3
     assert "budget exceeded: " in err
-    assert "during class build at 6 objects: 0/12 parent classes" in err
+    assert "during class build at 5 objects: 0/4 parent classes" in err
 
 
 @pytest.mark.parametrize(
     "args, objects, passed, phase",
     [
-        (["theorem", "--n", "3"], 6, 1, "playable classes at 7 objects: 1/56 parent classes"),
-        # one poll per 6-object parent, then the first of the 12 playable classes
-        (["theorem", "--n", "3"], 6, 56, "per-class statistics at 7 objects: 0/12 classes"),
+        (["theorem", "--n", "3"], 5, 1, "playable classes at 7 objects: 1/12 parent classes"),
+        # one poll per 5-object parent, then the first of the 12 playable classes
+        (["theorem", "--n", "3"], 5, 12, "per-class statistics at 7 objects: 0/12 classes"),
         # then one poll per distinct (win sequence, variance) of the 12 classes
-        (["theorem", "--n", "3"], 6, 57, "Schur pass over wins at 7 objects: 0/6 groups"),
-        (["theorem", "--n", "3"], 6, 63, "Schur pass over equilibria at 7 objects: 0/10 groups"),
-        # one poll per 6-object parent, then the first of the 12 playable classes
-        (["structural", "--objects", "7"], 6, 56, "structural checks at 7 objects: 0/12 classes"),
+        (["theorem", "--n", "3"], 5, 13, "Schur pass over wins at 7 objects: 0/6 groups"),
+        (["theorem", "--n", "3"], 5, 19, "Schur pass over equilibria at 7 objects: 0/10 groups"),
+        # one poll per 5-object parent, then the first of the 12 playable classes
+        (["structural", "--objects", "7"], 5, 12, "structural checks at 7 objects: 0/12 classes"),
         # one poll each at 2, 4 and 6 objects, then one every 64 classes at 8
         (["even", "--max-n", "8"], 8, 13, "even sweep at 8 objects: 640/6880 classes"),
     ],

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,21 @@ from tourneylab import (
     payoff_matrix,
     worst_case_equilibrium,
 )
-from tourneylab import equilibrium
+from tourneylab import equilibrium, tournament
 from tourneylab.construct import imbalanced_equilibrium_closed_form, imbalanced_rps
-from tourneylab.equilibrium import _playable_classes, packed_payoff_rows, tournament_equilibrium
-from tourneylab.tournament import _automorphism_counts, _iso_classes
+from tourneylab.equilibrium import (
+    _playable_classes,
+    _signed_kernel,
+    packed_payoff_rows,
+    payoff_rows,
+    tournament_equilibrium,
+)
+from tourneylab.tournament import (
+    _automorphism_counts,
+    _canonical_search,
+    _iso_classes,
+    tournament_from_canonical,
+)
 
 F = Fraction
 
@@ -403,6 +415,44 @@ def test_playable_classes_match_the_full_build(n):
     assert dict(zip(forms, auts)) == playable
     # one playable labeled game per switching class of 2^(n-1) games
     assert sum(math.factorial(n) // a for a in auts) == 2 ** ((n - 1) * (n - 2) // 2)
+
+
+def one_step_playable_classes(n):
+    """Every (n-1)-class plus a source, switched to positive, and every
+    candidate canonicalized: the build with no filter, as an oracle."""
+    seen = {}
+    full = (1 << n) - 1
+    for packed in _iso_classes(n - 1):
+        win = [*tournament_from_canonical(n - 1, packed).win, full >> 1]
+        x = _signed_kernel(payoff_rows(Tournament._from_masks(n, win)))
+        neg = sum(1 << i for i, v in enumerate(x) if v < 0)
+        switched = [w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(win)]
+        assert tournament_equilibrium(payoff_rows(Tournament._from_masks(n, switched)))
+        seen.setdefault(*_canonical_search(switched))
+    forms = tuple(sorted(seen))
+    return forms, tuple(seen[c] for c in forms)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_playable_classes_match_the_one_step_build(n):
+    assert _playable_classes(n) == one_step_playable_classes(n)
+
+
+@pytest.mark.parametrize("n, bound", [(7, 27), (9, 1989)])
+def test_playable_build_searches_no_class_one_size_smaller(monkeypatch, n, bound):
+    # from an empty cache, the build canonicalizes no (n-1)-object game, and at
+    # n objects no more candidates than the largest-|x_s| filter alone leaves
+    monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
+    searches = Counter()
+
+    def counted(win):
+        searches[len(win)] += 1
+        return _canonical_search(win)
+
+    monkeypatch.setattr(tournament, "_canonical_search", counted)
+    forms, _ = _playable_classes(n)
+    assert len(forms) == {7: 12, 9: 792}[n]
+    assert searches[n - 1] == 0 and 0 < searches[n] <= bound
 
 
 @pytest.mark.parametrize("n", [1, 4, 6])

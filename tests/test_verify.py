@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import random
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -29,8 +30,19 @@ from tourneylab import (
     verify_theorem,
 )
 from tourneylab import tournament, verify
-from tourneylab.equilibrium import packed_payoff_rows, payoff_rows, tournament_equilibrium
-from tourneylab.imbalance import compare_prefix_sums
+from tourneylab.equilibrium import (
+    _playable_classes,
+    packed_payoff_rows,
+    payoff_rows,
+    tournament_equilibrium,
+)
+from tourneylab.imbalance import (
+    compare_prefix_sums,
+    descending_prefix_sums,
+    nash_ties,
+    ui_variance,
+    uniform_profile,
+)
 from tourneylab.tournament import _iso_classes, _k_limit, degree_profile, tournament_from_canonical
 from tourneylab.verify import (
     FLOAT_ENTROPY_SEPARATION,
@@ -89,8 +101,10 @@ def test_entropy_flags_from_one_sign_per_competitor(monkeypatch):
 def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch):
     # with the variance and the ties held constant, every ordered pair of
     # playable classes whose wins or equilibria strictly majorize is a violation
-    monkeypatch.setattr(verify, "ui_variance", lambda profile: F(0))
-    monkeypatch.setattr(verify, "nash_ties", lambda eq: F(0))
+    class_stats = verify._class_stats
+    monkeypatch.setattr(
+        verify, "_class_stats", lambda args: replace(class_stats(args), ui_v=F(0), ties=F(0))
+    )
     playable = []
     for packed in _iso_classes(7):
         eq = tournament_equilibrium(packed_payoff_rows(7, packed))
@@ -105,13 +119,35 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
     assert verify_theorem(3).schur_violations == strict_wins + strict_eq
 
 
+@pytest.mark.parametrize("objects", [7, 9])
+def test_class_stats_match_the_fraction_statistics(objects):
+    # the integer record equals, field by field and type by type, the one built
+    # from the Fraction equilibrium and the uniform payoff profile
+    for packed in _playable_classes(objects)[0]:
+        t = tournament_from_canonical(objects, packed)
+        eq = tournament_equilibrium(payoff_rows(t))
+        profile = uniform_profile(t)
+        expected = verify._ClassStats(
+            packed,
+            wins_prefix=descending_prefix_sums(degree_profile(t).e_in),
+            ui_v=ui_variance(profile),
+            ties=nash_ties(eq),
+            score_masses=tuple(profile.score_distribution.values()),
+            equilibrium_sorted=tuple(sorted(eq, reverse=True)),
+            equilibrium_prefix=descending_prefix_sums(eq),
+        )
+        got = verify._class_stats((objects, packed))
+        for field in fields(expected):
+            assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name))
+
+
 def test_theorem_builds_no_class_of_its_own_size(monkeypatch):
-    # the 7-object run builds the 6-object classes and switches them; the
-    # 7-object class build never runs
+    # the 7-object run extends the 5-object classes and switches them; neither
+    # the 6- nor the 7-object class build runs
     monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
     rep = verify_theorem(3)
     assert (rep.class_count, rep.playable_count) == (456, 12)
-    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5, 6]
+    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5]
 
 
 def test_theorem_reports_are_deterministic():
@@ -295,12 +331,13 @@ def test_structural_matches_the_full_class_build(n):
 
 
 def test_structural_builds_no_class_of_its_own_size(monkeypatch):
-    # the 7-object run switches the 6-object classes; its counts of all and of
-    # strong classes come from formulas, so the 7-object class build never runs
+    # the 7-object run extends and switches the 5-object classes; its counts of
+    # all and of strong classes come from formulas, so neither the 6- nor the
+    # 7-object class build runs
     monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
     rep = verify_structural_lemmas(7)
     assert (rep.class_count, rep.playable_count, rep.strong_count) == (456, 12, 353)
-    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5, 6]
+    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5]
 
 
 def test_strong_unplayable_scan_stops_at_the_last_mask():
