@@ -342,11 +342,10 @@ def _cmd_verify(args) -> int:
     out_dir = Path(args.out_dir)
     suites: list[tuple[str, Callable[[], object]]] = []
     opts = {"jobs": args.jobs, "budget_secs": args.budget}
-    large = {"allow_large": args.allow_large, **opts}
     try:
         if args.suite in ("theorem", "all"):
-            _theorem_bounds(args.n, args.allow_large)
-            suites.append((f"theorem_n{args.n}", partial(verify_theorem, args.n, **large)))
+            _theorem_bounds(args.n)
+            suites.append((f"theorem_n{args.n}", partial(verify_theorem, args.n, **opts)))
         if args.suite in ("even", "all"):
             _even_bounds(args.max_n)
             suites.append(
@@ -355,8 +354,8 @@ def _cmd_verify(args) -> int:
         if args.suite in ("structural", "all"):
             odd = [m for m in (3, 5, 7) if m <= 2 * args.n + 1]
             for m in [args.objects] if args.suite == "structural" else odd:
-                _structural_bounds(m, args.allow_large)
-                suites.append((f"structural_n{m}", partial(verify_structural_lemmas, m, **large)))
+                _structural_bounds(m)
+                suites.append((f"structural_n{m}", partial(verify_structural_lemmas, m, **opts)))
         nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
         if not nearest.is_dir():
             raise NotADirectoryError(f"--out-dir: {nearest} is not a directory")
@@ -447,11 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="time budget in seconds (default: the TOURNEYLAB_BUDGET_SECS env var)",
-    )
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit the 9-object theorem and structural runs (slow)",
     )
     p.add_argument("--out-dir", default="reports", help="report directory")
     p.set_defaults(func=_cmd_verify)

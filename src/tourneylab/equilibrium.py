@@ -1,15 +1,16 @@
 """Payoff matrices and exact Nash-equilibrium analysis of tournament games.
 
 The equilibrium set that matters for playability is ker(A) intersected with
-the probability simplex; for odd tournaments it is either empty or a single
-strictly positive point, and the classifier reports which, together with the
-strong-connectivity cross-check.
+the probability simplex. A tournament game's kernel has dimension n mod 2, so
+the set is empty or a single point, and the classifier reports which, together
+with the strong-connectivity cross-check. Every tournament game has exactly one
+optimal strategy, so mixed dominance has a closed form too. The module serves
+tournament games only.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from enum import Enum
@@ -17,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-from .rational import RationalMatrix, Vector, kernel_basis, solve_affine
+from .rational import RationalMatrix, Vector, kernel_basis
 from .tournament import Tournament, _extended_classes, _iso_classes, _unpack, is_strong
 from .tournament import _min_wins_extensions
 
@@ -154,79 +155,36 @@ def _empty_polytope(A: RationalMatrix, kdim: int) -> EquilibriumPolytope:
     return EquilibriumPolytope(A, kdim, (), None, (False,) * A.cols)
 
 
-def _from_vertices(
-    A: RationalMatrix, kdim: int, vertices: list[Vector]
-) -> EquilibriumPolytope:
-    vertices = sorted(set(vertices))
-    if not vertices:
-        return _empty_polytope(A, kdim)
-    n = A.cols
-    count = Fraction(len(vertices))
-    interior = tuple(sum(v[i] for v in vertices) / count for i in range(n))
-    mask = tuple(x > 0 for x in interior)
-    return EquilibriumPolytope(A, kdim, tuple(vertices), interior, mask)
+def _point_polytope(A: RationalMatrix, point: Vector) -> EquilibriumPolytope:
+    return EquilibriumPolytope(A, 1, (point,), point, tuple(x > 0 for x in point))
 
 
-def _embed(n: int, support: Sequence[int], values: Sequence, zero=Fraction(0)) -> tuple:
+def _embed(n: int, support: Sequence[int], values: Sequence[Fraction]) -> Vector:
     """The length-n vector holding values on support and zero elsewhere."""
-    full = [zero] * n
+    full = [Fraction(0)] * n
     for j, x in zip(support, values):
         full[j] = x
     return tuple(full)
 
 
-def _support_system(
-    A: RationalMatrix, support: Sequence[int]
-) -> tuple[Vector, list[Vector]] | None:
-    """Solution set of [A_S ; 1]·x = [0 ; 1] over the columns S in support."""
-    rows = [[row[j] for j in support] for row in A.entries]
-    rows.append([Fraction(1)] * len(support))
-    return solve_affine(RationalMatrix(rows), [Fraction(0)] * A.rows + [Fraction(1)])
-
-
-def _support_systems(
-    A: RationalMatrix,
-) -> Iterator[tuple[tuple[int, ...], Vector, list[Vector]]]:
-    """(support, particular, null basis) for each column subset, smallest
-    first, whose support system is consistent; at most 2**SUPPORT_ENUM_LIMIT."""
-    n = A.cols
-    if n > SUPPORT_ENUM_LIMIT:
-        raise ValueError(
-            f"support enumeration bounded at n <= {SUPPORT_ENUM_LIMIT}, got {n}"
-        )
-    for size in range(1, n + 1):
-        for support in itertools.combinations(range(n), size):
-            solved = _support_system(A, support)
-            if solved is not None:
-                yield (support, *solved)
-
-
 def equilibrium_polytope(A: RationalMatrix) -> EquilibriumPolytope:
-    """Exact ker(A) ∩ simplex.
-
-    Kernel dimension 0 or 1 is resolved directly; higher dimensions fall back
-    to support-subset vertex enumeration: a vertex is the unique, nonnegative
-    solution of its support's system.
-    """
+    """Exact ker(A) ∩ simplex for a kernel of dimension 0 or 1, as a tournament
+    game's is (n mod 2): empty, or the one point the kernel line meets the
+    simplex in. A larger kernel raises ValueError naming its dimension."""
     basis = kernel_basis(A)
     kdim = len(basis)
+    if kdim > 1:
+        raise ValueError(f"kernel dimension {kdim}: polytopes are built for dimension 0 or 1")
     if kdim == 0:
         return _empty_polytope(A, 0)
-    if kdim == 1:
-        v = basis[0]
-        total = sum(v)
-        if total == 0:
-            return _empty_polytope(A, 1)
-        point = tuple(x / total for x in v)
-        if any(x < 0 for x in point):
-            return _empty_polytope(A, 1)
-        return _from_vertices(A, 1, [point])
-    vertices = [
-        _embed(A.cols, support, x)
-        for support, x, null in _support_systems(A)
-        if not null and min(x) >= 0
-    ]
-    return _from_vertices(A, kdim, vertices)
+    v = basis[0]
+    total = sum(v)
+    if total == 0:
+        return _empty_polytope(A, 1)
+    point = tuple(x / total for x in v)
+    if any(x < 0 for x in point):
+        return _empty_polytope(A, 1)
+    return _point_polytope(A, point)
 
 
 class Playability(Enum):
@@ -251,7 +209,7 @@ class PlayabilityReport:
         A = payoff_matrix(self.tournament)
         if self.equilibrium is None:
             return _empty_polytope(A, A.cols % 2)
-        return _from_vertices(A, 1, [self.equilibrium])
+        return _point_polytope(A, self.equilibrium)
 
     def witness_text(self, labels: Sequence[str]) -> str:
         if self.dominating_pair is not None:
@@ -278,68 +236,46 @@ def classify_playability(t: Tournament) -> PlayabilityReport:
 # dominance
 # ---------------------------------------------------------------------------
 
-def _vertex_enumerate(
-    equalities: list[tuple[list[Fraction], Fraction]],
-    inequalities: list[tuple[list[Fraction], Fraction]],
-    dim: int,
-) -> list[Vector]:
-    """Vertices of a bounded polyhedron {x : Ex = e, Gx >= h} by basis search."""
-    vertices: set[Vector] = set()
-    base_rows = [row for row, _ in equalities]
-    base_rhs = [rhs for _, rhs in equalities]
-    need = dim - len(equalities)
-    for combo in itertools.combinations(range(len(inequalities)), max(need, 0)):
-        rows = base_rows + [inequalities[k][0] for k in combo]
-        rhs = base_rhs + [inequalities[k][1] for k in combo]
-        solved = solve_affine(RationalMatrix(rows), rhs)
-        if solved is None:
-            continue
-        x, null = solved
-        if null:
-            continue
-        if all(
-            sum(g * xi for g, xi in zip(grow, x)) >= h for grow, h in inequalities
-        ):
-            vertices.add(x)
-    return sorted(vertices)
+def _weak_dominating_mixture(t: Tournament, i: int) -> Vector | None:
+    """The best weakly dominating mixture of the other rows against row i, or None.
+
+    A weight on k needs k to beat every object that i beats (those columns
+    already pay i the most) and so also to beat i, else column k fails. So the
+    dominating mixtures are the simplex on the pure weak dominators D_i, and a
+    mixture w has total slack 2 * (sum_k w_k wins_k - wins_i) over i's row:
+    the best is the pure k in D_i with the most wins, the largest such k on a
+    tie, as a vertex search in sorted order finds first."""
+    need = t.win[i] | 1 << i
+    best = max(((w.bit_count(), k) for k, w in enumerate(t.win) if not need & ~w), default=None)
+    return None if best is None else _embed(t.n, [best[1]], [Fraction(1)])
 
 
-def _mixed_dominator(rows: list[list[int]], i: int, mode: str) -> Vector | None:
-    """Best convex combination of the other rows against row i, or None.
+def _strict_dominating_mixture(rows: list[list[int]], i: int) -> Vector | None:
+    """The mixture of the other rows with the largest margin over row i when
+    that margin is positive, or None.
 
-    One LP over the weights w of the other rows, plus a margin column t in
-    strict mode only: w >= 0, sum(w) = 1 and sum_k w_k A[k][j] - t >= A[i][j]
-    for every column j. Weak mode maximizes the total slack, strict mode the
-    margin; a dominator exists iff the best vertex's value is positive.
-    """
+    If i beats j, no mixture pays more than 1 = A[i][j] against j, so only a
+    sink i can be strictly dominated. A sink's row is -1 off the diagonal, so
+    the margin is 1 plus the worst payoff of the mixture in T - i: at most 1,
+    reached only by the unique optimal strategy of T - i (Laffond, Laslier &
+    Le Breton, Games Econ. Behav. 5, 1993), with weight 0 at i. That strategy
+    is the odd support S whose signed kernel has one sign and beats every
+    object outside S, each payoff an odd sum and so never 0."""
     n = len(rows)
-    others = [k for k in range(n) if k != i]
-    if not others:
-        return None  # a lone object has nothing to be dominated by
-    d = len(others)
-    margin = 1 if mode == "strict" else 0  # columns for t
-
-    def constraint(weights: Sequence[int], t: int, bound: int):
-        return [Fraction(w) for w in weights] + [Fraction(t)] * margin, Fraction(bound)
-
-    eqs = [constraint([1] * d, 0, 1)]
-    ineqs = [constraint([int(p == q) for p in range(d)], 0, 0) for q in range(d)]
-    ineqs += [constraint([rows[k][j] for k in others], -1, rows[i][j]) for j in range(n)]
-    if margin:
-        # payoffs lie in [-1, 1] so the margin is within [-3, 3]
-        ineqs += [constraint([0] * d, 1, -3), constraint([0] * d, -1, -3)]
-
-    def value(x: Vector) -> Fraction:
-        if margin:
-            return x[d]
-        return sum(
-            sum(w * rows[k][j] for w, k in zip(x, others)) - rows[i][j] for j in range(n)
-        )
-
-    best = max(_vertex_enumerate(eqs, ineqs, d + margin), key=value, default=None)
-    if best is None or value(best) <= 0:
+    if n < 2 or max(rows[i]) > 0:
         return None
-    return _embed(n, others, best[:d])
+    others = [k for k in range(n) if k != i]
+    for size in range(1, n, 2):
+        for support in itertools.combinations(others, size):
+            x = _signed_kernel([[rows[a][b] for b in support] for a in support])
+            if max(x) < 0:
+                x = [-v for v in x]
+            beaten = (sum(map(mul, x, (rows[v][s] for s in support))) < 0
+                      for v in others if v not in support)
+            if min(x) > 0 and all(beaten):
+                total = sum(x)
+                return _embed(n, support, [Fraction(v, total) for v in x])
+    raise AssertionError(f"no optimal strategy for the game without object {i}: not a tournament")
 
 
 def _pure_dominated(t: Tournament, mode: str) -> Iterator[tuple[int, int]]:
@@ -361,10 +297,11 @@ def find_dominated(
     """Dominated objects with a dominating strategy each.
 
     Pure mode compares full payoff rows over every opponent object (weak:
-    >= everywhere and > somewhere; strict: > everywhere). Mixed mode solves the
-    exact feasibility problem over convex combinations of the other rows by
-    vertex enumeration, for at most SUPPORT_ENUM_LIMIT objects; the dominating
-    strategy is returned as a full-length weight vector.
+    >= everywhere and > somewhere; strict: > everywhere). Mixed mode returns
+    the best convex combination of the other rows, as a full-length weight
+    vector, for at most SUPPORT_ENUM_LIMIT objects. On a tournament it has a
+    closed form: weak, the pure weak dominator with the most wins; strict,
+    only for a sink, the optimal strategy of the game without it.
     """
     if mode not in ("weak", "strict"):
         raise ValueError("mode must be 'weak' or 'strict'")
@@ -374,112 +311,12 @@ def find_dominated(
         return list(_pure_dominated(t, mode))
     if t.n > SUPPORT_ENUM_LIMIT:
         raise ValueError(f"mixed dominance is bounded at n <= {SUPPORT_ENUM_LIMIT}, got {t.n}")
-    rows = payoff_rows(t)
-    mixed = ((i, _mixed_dominator(rows, i, mode)) for i in range(t.n))
+    if mode == "weak":
+        mixed = ((i, _weak_dominating_mixture(t, i)) for i in range(t.n))
+    else:
+        rows = payoff_rows(t)
+        mixed = ((i, _strict_dominating_mixture(rows, i)) for i in range(t.n))
     return [(i, w) for i, w in mixed if w is not None]
-
-
-# ---------------------------------------------------------------------------
-# worst-case equilibrium selection
-# ---------------------------------------------------------------------------
-
-def _least_norm(x0: Vector, null: list[Vector]) -> Vector:
-    """The point of x0 + span(null) nearest the origin, by the normal equations."""
-    if not null:
-        return x0
-    gram = RationalMatrix([[sum(a * b for a, b in zip(u, v)) for v in null] for u in null])
-    sol = solve_affine(gram, [-sum(a * b for a, b in zip(u, x0)) for u in null])
-    assert sol is not None and not sol[1]  # Gram of a basis is PD
-    return tuple(
-        xi + sum(tk * nk[p] for tk, nk in zip(sol[0], null)) for p, xi in enumerate(x0)
-    )
-
-
-def _min_ties_point(P: EquilibriumPolytope) -> Vector:
-    """Exact minimizer of sum(v**2): each support's solution set is projected
-    onto its least-norm point, and the least (sum(v**2), vector) key wins."""
-    n = P.matrix.cols
-    points = ((s, _least_norm(x0, null)) for s, x0, null in _support_systems(P.matrix))
-    return min(
-        (sum(x * x for x in point), _embed(n, s, point))
-        for s, point in points
-        if min(point) >= 0
-    )[1]
-
-
-def _max_entropy_point(P: EquilibriumPolytope) -> tuple[float, ...]:
-    """Projected Newton ascent for -sum(v ln v) on the polytope's affine hull.
-
-    The hull is the kernel slice restricted to the support coordinates;
-    off-support coordinates are zero at every equilibrium and stay pinned.
-    """
-    n = P.matrix.cols
-    support = [i for i in range(n) if P.support_mask[i]]
-    solved = _support_system(P.matrix, support)
-    assert solved is not None
-    _, null = solved
-    assert P.interior_point is not None
-    v = [float(P.interior_point[j]) for j in support]
-    m = len(support)
-    if not null:
-        return _embed(n, support, v, 0.0)
-    basis = [[float(x) for x in b] for b in null]
-    d = len(basis)
-    floor = 1e-15
-    for _ in range(200):
-        grad_v = [-(math.log(max(x, floor)) + 1.0) for x in v]
-        grad = [sum(b[i] * grad_v[i] for i in range(m)) for b in basis]
-        gnorm = math.sqrt(sum(g * g for g in grad))
-        if gnorm < 1e-12:
-            break
-        # Newton system: (B^T diag(1/v) B) step = grad
-        hess = [
-            [
-                sum(basis[p][i] * basis[q][i] / max(v[i], floor) for i in range(m))
-                for q in range(d)
-            ]
-            for p in range(d)
-        ]
-        step = _solve_float(hess, grad)
-        if step is None:
-            step = grad
-        scale = 1.0
-        improved = False
-        h0 = _entropy_float(v, floor)
-        for _ in range(60):
-            trial = [
-                v[i] + scale * sum(s * basis[p][i] for p, s in enumerate(step))
-                for i in range(m)
-            ]
-            if min(trial) > 0 and _entropy_float(trial, floor) >= h0:
-                v = trial
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return _embed(n, support, v, 0.0)
-
-
-def _entropy_float(v: Sequence[float], floor: float) -> float:
-    return -sum(x * math.log(max(x, floor)) for x in v if x > 0)
-
-
-def _solve_float(mat: list[list[float]], rhs: list[float]) -> list[float] | None:
-    n = len(mat)
-    a = [row[:] + [r] for row, r in zip(mat, rhs)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if abs(a[piv][c]) < 1e-300:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1.0 / a[c][c]
-        for r in range(n):
-            if r != c and a[r][c] != 0.0:
-                f = a[r][c] * inv
-                for j in range(c, n + 1):
-                    a[r][j] -= f * a[c][j]
-    return [a[r][n] / a[r][r] for r in range(n)]
 
 
 def worst_case_equilibrium(
@@ -487,16 +324,12 @@ def worst_case_equilibrium(
 ) -> tuple[tuple, bool]:
     """Distribution used for imbalance statistics, with an exactness flag.
 
-    min_ties minimizes sum(v**2) exactly (Fractions, flag True). max_entropy
-    maximizes -sum(v ln v) numerically to 1e-10 on a deterministic schedule
-    (floats, flag False) unless the polytope is a single point.
+    min_ties would minimize sum(v**2) and max_entropy maximize -sum(v ln v)
+    over the polytope; a tournament game's polytope is one point, so both
+    return it, exactly.
     """
     if criterion not in ("min_ties", "max_entropy"):
         raise ValueError("criterion must be 'min_ties' or 'max_entropy'")
     if P.is_empty:
         raise ValueError("empty polytope has no equilibrium")
-    if P.is_single_point:
-        return P.vertices[0], True
-    if criterion == "min_ties":
-        return _min_ties_point(P), True
-    return _max_entropy_point(P), False
+    return P.vertices[0], True

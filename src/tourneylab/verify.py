@@ -370,18 +370,15 @@ def _schur_violations(
     return violations
 
 
-def _theorem_bounds(n: int, allow_large: bool) -> None:
+def _theorem_bounds(n: int) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 4:
         raise ValueError("theorem verification is bounded at 9 objects")
-    if n == 4 and not allow_large:
-        raise ValueError("9-object verification is opt-in; pass allow_large (--allow-large)")
 
 
 def verify_theorem(
     n: int,
-    allow_large: bool = False,
     jobs: int = 1,
     budget_secs: float | None = None,
 ) -> TheoremReport:
@@ -391,11 +388,10 @@ def verify_theorem(
     payoff variance and of expected ties, (b) maximum score-entropy and
     minimum equilibrium entropy, (c)/(d) strict majorization of the
     construction's win and equilibrium sequences. Only the playable classes
-    are built; the count of all classes comes from Davis's formula. n <= 3 by
-    default; n = 4 (9 objects) only with allow_large, and subject to the
-    budget.
+    are built; the count of all classes comes from Davis's formula. n <= 4
+    (9 objects), subject to the budget.
     """
-    _theorem_bounds(n, allow_large)
+    _theorem_bounds(n)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
@@ -697,24 +693,21 @@ def _strong_unplayable_examples(n: int, count: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _structural_bounds(n: int, allow_large: bool) -> None:
+def _structural_bounds(n: int) -> None:
     if n < 3 or n % 2 == 0 or n > 9:
         raise ValueError("structural verification runs on odd 3 <= n <= 9")
-    if n == 9 and not allow_large:
-        raise ValueError("9-object verification is opt-in; pass allow_large (--allow-large)")
 
 
 def verify_structural_lemmas(
     n: int,
     jobs: int = 1,
     budget_secs: float | None = None,
-    allow_large: bool = False,
 ) -> StructuralLemmasReport:
     """Playable classes must meet the degree-prefix bounds, every k-minimizing
     condition, and the 1/3 probability cap; classes failing the k-minimizing
-    condition must be unplayable. Only the playable classes are built. n <= 7
-    by default; n = 9 only with allow_large, and subject to the budget."""
-    _structural_bounds(n, allow_large)
+    condition must be unplayable. Only the playable classes are built. Odd
+    3 <= n <= 9, subject to the budget."""
+    _structural_bounds(n)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     [(_, rows)] = _class_sweep(

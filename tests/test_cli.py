@@ -412,7 +412,7 @@ def test_nine_object_reports_match_the_committed_results(tmp_path, capsys):
         (["structural", "--objects", "9"], 0),
     ):
         code, _, _ = run_cli(
-            ["verify", *args, "--allow-large", "--jobs", "1", "--out-dir", str(tmp_path)], capsys
+            ["verify", *args, "--jobs", "1", "--out-dir", str(tmp_path)], capsys
         )
         assert code == expected_code
     names = ["structural_n9.json", "structural_n9.md", "theorem_n4.json", "theorem_n4.md"]
@@ -622,12 +622,12 @@ def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
         ["verify", "theorem", "--n", "5"],
         ["verify", "even", "--max-n", "10"],
         ["verify", "structural", "--objects", "4"],
-        ["verify", "theorem", "--n", "4"],
+        ["verify", "theorem", "--n", "0"],
         ["verify", "even", "--max-n", "0"],
         ["verify", "structural", "--objects", "-1"],
         ["verify", "structural", "--objects", "1"],
-        ["verify", "structural", "--objects", "9"],
-        ["verify", "structural", "--objects", "11", "--allow-large"],
+        ["verify", "all", "--n", "5"],
+        ["verify", "structural", "--objects", "11"],
     ],
 )
 def test_verify_out_of_range_exit_1(tmp_path, capsys, args):

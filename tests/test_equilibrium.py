@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -15,19 +17,20 @@ from tourneylab import (
     find_dominated,
     from_edge_list,
     is_strong,
-    kernel_basis,
     payoff_matrix,
     worst_case_equilibrium,
 )
 from tourneylab import equilibrium, tournament
 from tourneylab.construct import imbalanced_equilibrium_closed_form, imbalanced_rps
 from tourneylab.equilibrium import (
+    _embed,
     _playable_classes,
     _signed_kernel,
     packed_payoff_rows,
     payoff_rows,
     tournament_equilibrium,
 )
+from tourneylab.rational import Vector, solve_affine
 from tourneylab.tournament import (
     _automorphism_counts,
     _canonical_search,
@@ -92,36 +95,12 @@ def test_polytope_strong_but_unplayable(strong_unplayable5):
     assert is_strong(strong_unplayable5)
 
 
-def test_polytope_full_simplex_for_zero_matrix():
-    z = RationalMatrix([[0] * 3 for _ in range(3)])
-    p = equilibrium_polytope(z)
-    assert p.kernel_dim == 3
-    assert p.vertices == (
-        (F(0), F(0), F(1)),
-        (F(0), F(1), F(0)),
-        (F(1), F(0), F(0)),
-    )
-    assert p.interior_point == (F(1, 3), F(1, 3), F(1, 3))
-    assert p.support_mask == (True, True, True)
-
-
-def test_polytope_segment_when_kernel_partially_positive():
-    a = RationalMatrix(
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    )
-    p = equilibrium_polytope(a)
-    assert p.kernel_dim == 2
-    assert p.vertices == (
-        (F(0), F(0), F(0), F(1)),
-        (F(0), F(0), F(1), F(0)),
-    )
-    assert p.support_mask == (False, False, True, True)
-
-
-def test_polytope_support_enumeration_bound():
-    z = RationalMatrix([[0] * 9 for _ in range(9)])
-    with pytest.raises(ValueError, match="bounded"):
-        equilibrium_polytope(z)
+def test_polytope_refuses_a_kernel_of_dimension_2_or_more():
+    # a tournament game's kernel has dimension n mod 2; the zero matrix's has n
+    for n in (3, 9):
+        z = RationalMatrix([[0] * n for _ in range(n)])
+        with pytest.raises(ValueError, match=f"kernel dimension {n}"):
+            equilibrium_polytope(z)
 
 
 def test_polytope_empty_when_kernel_sums_to_zero():
@@ -139,34 +118,6 @@ def test_polytope_vertices_satisfy_constraints():
             assert a.matvec(v) == (F(0),) * t.n
             assert sum(v) == 1
             assert all(x >= 0 for x in v)
-
-
-def test_random_polytopes_have_basic_vertices_and_a_least_norm_point():
-    # rational matrices of at most 5 columns: many of their polytopes have
-    # several vertices, so min_ties projects onto a least-norm point
-    rng = random.Random(12)
-    several = 0
-    for _ in range(80):
-        cols = rng.randint(2, 5)
-        a = RationalMatrix(
-            [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(cols)]
-             for _ in range(rng.randint(1, cols))]
-        )
-        p = equilibrium_polytope(a)
-        zero = (F(0),) * a.rows
-        for v in p.vertices:
-            assert a.matvec(v) == zero and sum(v) == 1 and min(v) >= 0
-            support = [j for j in range(cols) if v[j]]
-            system = [[row[j] for j in support] for row in a.entries]
-            assert not kernel_basis(RationalMatrix(system + [[1] * len(support)]))
-        if p.is_empty:
-            continue
-        several += len(p.vertices) > 1
-        m, exact = worst_case_equilibrium(p, "min_ties")
-        assert exact and a.matvec(m) == zero and sum(m) == 1 and min(m) >= 0
-        value = sum(x * x for x in m)
-        assert all(value <= sum(x * x for x in v) for v in p.vertices)
-    assert several >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +260,99 @@ def test_dominated_mixed_is_bounded(monkeypatch):
     def solve(*args):
         raise AssertionError("a dominance system was solved")
 
-    monkeypatch.setattr(equilibrium, "_mixed_dominator", solve)
+    monkeypatch.setattr(equilibrium, "_weak_dominating_mixture", solve)
+    monkeypatch.setattr(equilibrium, "_strict_dominating_mixture", solve)
     for mode in ("weak", "strict"):
         with pytest.raises(ValueError, match="bounded at n <= 8"):
             find_dominated(imbalanced_rps(4), mode, "mixed")
+
+
+# The exact LP that find_dominated's mixed mode solved before its closed
+# forms, kept as their oracle: vertex enumeration over the other rows' weights.
+
+def _vertex_enumerate(
+    equalities: list[tuple[list[Fraction], Fraction]],
+    inequalities: list[tuple[list[Fraction], Fraction]],
+    dim: int,
+) -> list[Vector]:
+    """Vertices of a bounded polyhedron {x : Ex = e, Gx >= h} by basis search."""
+    vertices: set[Vector] = set()
+    base_rows = [row for row, _ in equalities]
+    base_rhs = [rhs for _, rhs in equalities]
+    need = dim - len(equalities)
+    for combo in itertools.combinations(range(len(inequalities)), max(need, 0)):
+        rows = base_rows + [inequalities[k][0] for k in combo]
+        rhs = base_rhs + [inequalities[k][1] for k in combo]
+        solved = solve_affine(RationalMatrix(rows), rhs)
+        if solved is None:
+            continue
+        x, null = solved
+        if null:
+            continue
+        if all(
+            sum(g * xi for g, xi in zip(grow, x)) >= h for grow, h in inequalities
+        ):
+            vertices.add(x)
+    return sorted(vertices)
+
+
+def _mixed_dominator(rows: list[list[int]], i: int, mode: str) -> Vector | None:
+    """Best convex combination of the other rows against row i, or None.
+
+    One LP over the weights w of the other rows, plus a margin column t in
+    strict mode only: w >= 0, sum(w) = 1 and sum_k w_k A[k][j] - t >= A[i][j]
+    for every column j. Weak mode maximizes the total slack, strict mode the
+    margin; a dominator exists iff the best vertex's value is positive.
+    """
+    n = len(rows)
+    others = [k for k in range(n) if k != i]
+    if not others:
+        return None  # a lone object has nothing to be dominated by
+    d = len(others)
+    margin = 1 if mode == "strict" else 0  # columns for t
+
+    def constraint(weights: Sequence[int], t: int, bound: int):
+        return [Fraction(w) for w in weights] + [Fraction(t)] * margin, Fraction(bound)
+
+    eqs = [constraint([1] * d, 0, 1)]
+    ineqs = [constraint([int(p == q) for p in range(d)], 0, 0) for q in range(d)]
+    ineqs += [constraint([rows[k][j] for k in others], -1, rows[i][j]) for j in range(n)]
+    if margin:
+        # payoffs lie in [-1, 1] so the margin is within [-3, 3]
+        ineqs += [constraint([0] * d, 1, -3), constraint([0] * d, -1, -3)]
+
+    def value(x: Vector) -> Fraction:
+        if margin:
+            return x[d]
+        return sum(
+            sum(w * rows[k][j] for w, k in zip(x, others)) - rows[i][j] for j in range(n)
+        )
+
+    best = max(_vertex_enumerate(eqs, ineqs, d + margin), key=value, default=None)
+    if best is None or value(best) <= 0:
+        return None
+    return _embed(n, others, best[:d])
+
+
+def lp_dominated(t, mode):
+    rows = payoff_rows(t)
+    mixed = ((i, _mixed_dominator(rows, i, mode)) for i in range(t.n))
+    return [(i, w) for i, w in mixed if w is not None]
+
+
+@pytest.mark.parametrize(
+    "mode, labeled_up_to, classes_at, dominated",
+    [("weak", 4, (5,), 169), ("strict", 3, (4, 5), 14)],  # strict: one per sink
+)
+def test_mixed_dominance_matches_the_lp(mode, labeled_up_to, classes_at, dominated):
+    games = [t for n in range(1, labeled_up_to + 1) for t in enumerate_tournaments(n)]
+    games += [t for n in classes_at for t in enumerate_tournaments(n, up_to_iso=True)]
+    hits = 0
+    for t in games:
+        got = find_dominated(t, mode, "mixed")
+        assert got == lp_dominated(t, mode), t.win
+        hits += len(got)
+    assert hits == dominated
 
 
 def test_dominated_validation(classic3):
@@ -346,46 +386,6 @@ def test_worst_case_imbalanced5_ties():
     p = equilibrium_polytope(payoff_matrix(imbalanced_rps(2)))
     v, exact = worst_case_equilibrium(p, "min_ties")
     assert exact and sum(x * x for x in v) == F(7, 27)
-
-
-def test_worst_case_min_ties_full_simplex():
-    z = RationalMatrix([[0] * 3 for _ in range(3)])
-    p = equilibrium_polytope(z)
-    v, exact = worst_case_equilibrium(p, "min_ties")
-    assert exact and v == (F(1, 3), F(1, 3), F(1, 3))
-
-
-def test_worst_case_max_entropy_full_simplex():
-    z = RationalMatrix([[0] * 4 for _ in range(4)])
-    p = equilibrium_polytope(z)
-    v, exact = worst_case_equilibrium(p, "max_entropy")
-    assert not exact
-    assert all(abs(x - 0.25) < 1e-10 for x in v)
-    assert abs(sum(v) - 1.0) < 1e-12
-
-
-def test_worst_case_segment():
-    a = RationalMatrix(
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    )
-    p = equilibrium_polytope(a)
-    v, exact = worst_case_equilibrium(p, "min_ties")
-    assert exact and v == (F(0), F(0), F(1, 2), F(1, 2))
-    w, _ = worst_case_equilibrium(p, "max_entropy")
-    assert abs(w[2] - 0.5) < 1e-10 and abs(w[3] - 0.5) < 1e-10
-
-
-def test_worst_case_min_ties_stays_feasible_and_optimal():
-    # the optimum lies in the polytope and is no larger than any vertex value
-    z = RationalMatrix([[0] * 5 for _ in range(5)])
-    p = equilibrium_polytope(z)
-    v, _ = worst_case_equilibrium(p, "min_ties")
-    assert z.matvec(v) == (F(0),) * 5
-    assert sum(v) == 1 and all(x >= 0 for x in v)
-    val = sum(x * x for x in v)
-    assert val == F(1, 5)
-    for vert in p.vertices:
-        assert val <= sum(x * x for x in vert)
 
 
 def test_worst_case_errors(classic3):

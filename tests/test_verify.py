@@ -194,11 +194,9 @@ def test_equilibrium_majorization_fails_at_every_odd_size_by_blow_up():
             assert canonical_form(t) == 281350272
 
 
-def test_theorem_large_requires_opt_in():
+def test_theorem_out_of_range():
     with pytest.raises(ValueError):
-        verify_theorem(4)
-    with pytest.raises(ValueError):
-        verify_theorem(5, allow_large=True)
+        verify_theorem(5)
     with pytest.raises(ValueError):
         verify_theorem(0)
 
@@ -393,9 +391,7 @@ def test_structural_validation():
     with pytest.raises(ValueError):
         verify_structural_lemmas(4)
     with pytest.raises(ValueError):
-        verify_structural_lemmas(9)
-    with pytest.raises(ValueError):
-        verify_structural_lemmas(11, allow_large=True)
+        verify_structural_lemmas(11)
 
 
 @pytest.mark.parametrize(
