@@ -352,7 +352,7 @@ def _cmd_verify(args) -> int:
                 (f"even_maxn{args.max_n}", partial(verify_even_unplayable, args.max_n, **opts))
             )
         if args.suite in ("structural", "all"):
-            odd = [m for m in (3, 5, 7) if m <= 2 * args.n + 1]
+            odd = range(3, 2 * args.n + 2, 2)
             for m in [args.objects] if args.suite == "structural" else odd:
                 _structural_bounds(m)
                 suites.append((f"structural_n{m}", partial(verify_structural_lemmas, m, **opts)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -49,22 +49,17 @@ def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
     return rows
 
 
-@lru_cache(maxsize=1 << 12)
-def _sign_row(w: int, n: int) -> tuple[int, ...]:
-    """+1 where bit j < n of win mask w is set, else -1: a payoff row, right of its diagonal."""
-    return tuple((w >> j & 1) * 2 - 1 for j in range(n))
-
-
-def _signed_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
+def _signed_kernel(win: Sequence[int]) -> list[int] | None:
     """((-1)**i Pf A_ii)_i, A_ii being A without row and column i: the kernel of
-    an odd tournament game's payoff rows A; None for an even game. Fraction-free
-    Pfaffian elimination in 2x2 pivot blocks by congruence on the upper triangle,
-    all it reads, leaves Pfaffians of even principal sub-tournaments as entries,
-    with exact divisions by Knuth's overlapping-Pfaffian identity (Electron. J.
-    Combin. 3(2), 1996, R5). Mod 2 a tournament matrix is J - I, so each one is
-    odd: no pivot search, and the asserted odd pivots make every even game nonsingular."""
-    n = len(rows)
-    up = [row[i + 1 :] for i, row in enumerate(rows)]
+    the payoff matrix A of an odd tournament game with win masks `win`; None for
+    an even game. Fraction-free Pfaffian elimination in 2x2 pivot blocks by
+    congruence on the upper triangle leaves Pfaffians of even principal
+    sub-tournaments as entries, with exact divisions by Knuth's
+    overlapping-Pfaffian identity (Electron. J. Combin. 3(2), 1996, R5). Mod 2 a
+    tournament matrix is J - I, so each one is odd: no pivot search, and the
+    asserted odd pivots make every even game nonsingular."""
+    n = len(win)
+    up = [[(w >> j & 1) * 2 - 1 for j in range(i + 1, n)] for i, w in enumerate(win)]
     prev = 1
     for p in range(0, n - 1, 2):
         (piv, *tp), tq = up[p], up[p + 1]
@@ -82,11 +77,11 @@ def _signed_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
     return x
 
 
-def tournament_equilibrium(rows: list[list[int]]) -> Vector | None:
-    """The totally mixed equilibrium of a tournament game from its integer
-    payoff rows, or None: the signed kernel vector, scaled to sum 1, when all
-    its entries share a sign."""
-    x = _signed_kernel(rows)
+def tournament_equilibrium(win: Sequence[int]) -> Vector | None:
+    """The totally mixed equilibrium of a tournament game from its win masks,
+    or None: the signed kernel vector, scaled to sum 1, when all its entries
+    share a sign."""
+    x = _signed_kernel(win)
     if x is None or not (min(x) > 0 or max(x) < 0):
         return None
     total = sum(x)
@@ -124,7 +119,7 @@ def _switched_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
     full = (1 << n) - 1
     for ext in _min_wins_extensions(win):
         ext.append(full >> 1)
-        x = _signed_kernel([_sign_row(w, n) for w in ext])
+        x = _signed_kernel(ext)
         neg = sum(1 << i for i, v in enumerate(x) if v < 0)
         ext = [w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(ext)]
         rank = [(abs(v), w.bit_count()) for v, w in zip(x, ext)]
@@ -224,7 +219,7 @@ def classify_playability(t: Tournament) -> PlayabilityReport:
     """StronglyPlayable iff the game has a totally mixed equilibrium, which is
     then unique; otherwise Unplayable, with a weakly dominated object as the
     witness when there is one. The report carries the is_strong cross-check."""
-    point = tournament_equilibrium(payoff_rows(t))
+    point = tournament_equilibrium(t.win)
     strong = is_strong(t)
     if point is None:
         pair = next(_pure_dominated(t, "weak"), None)
@@ -250,7 +245,7 @@ def _weak_dominating_mixture(t: Tournament, i: int) -> Vector | None:
     return None if best is None else _embed(t.n, [best[1]], [Fraction(1)])
 
 
-def _strict_dominating_mixture(rows: list[list[int]], i: int) -> Vector | None:
+def _strict_dominating_mixture(t: Tournament, i: int) -> Vector | None:
     """The mixture of the other rows with the largest margin over row i when
     that margin is positive, or None.
 
@@ -259,22 +254,21 @@ def _strict_dominating_mixture(rows: list[list[int]], i: int) -> Vector | None:
     the margin is 1 plus the worst payoff of the mixture in T - i: at most 1,
     reached only by the unique optimal strategy of T - i (Laffond, Laslier &
     Le Breton, Games Econ. Behav. 5, 1993), with weight 0 at i. That strategy
-    is the odd support S whose signed kernel has one sign and beats every
-    object outside S, each payoff an odd sum and so never 0."""
-    n = len(rows)
-    if n < 2 or max(rows[i]) > 0:
+    is the odd support S whose game has a totally mixed equilibrium that beats
+    every object outside S: each one beats less than half the mixture's mass,
+    never exactly half, as S is odd and every signed kernel entry is odd."""
+    if t.n < 2 or t.win[i]:
         return None
-    others = [k for k in range(n) if k != i]
-    for size in range(1, n, 2):
+    others = [k for k in range(t.n) if k != i]
+    for size in range(1, t.n, 2):
         for support in itertools.combinations(others, size):
-            x = _signed_kernel([[rows[a][b] for b in support] for a in support])
-            if max(x) < 0:
-                x = [-v for v in x]
-            beaten = (sum(map(mul, x, (rows[v][s] for s in support))) < 0
-                      for v in others if v not in support)
-            if min(x) > 0 and all(beaten):
-                total = sum(x)
-                return _embed(n, support, [Fraction(v, total) for v in x])
+            win = [sum((t.win[a] >> b & 1) << c for c, b in enumerate(support)) for a in support]
+            point = tournament_equilibrium(win)
+            if point is not None and all(
+                2 * sum(p for s, p in zip(support, point) if t.win[v] >> s & 1) < 1
+                for v in others if v not in support
+            ):
+                return _embed(t.n, support, point)
     raise AssertionError(f"no optimal strategy for the game without object {i}: not a tournament")
 
 
@@ -299,9 +293,10 @@ def find_dominated(
     Pure mode compares full payoff rows over every opponent object (weak:
     >= everywhere and > somewhere; strict: > everywhere). Mixed mode returns
     the best convex combination of the other rows, as a full-length weight
-    vector, for at most SUPPORT_ENUM_LIMIT objects. On a tournament it has a
-    closed form: weak, the pure weak dominator with the most wins; strict,
-    only for a sink, the optimal strategy of the game without it.
+    vector. On a tournament it has a closed form: weak, the pure weak dominator
+    with the most wins; strict, only for a sink, the optimal strategy of the
+    game without it, searched over odd supports for at most SUPPORT_ENUM_LIMIT
+    objects.
     """
     if mode not in ("weak", "strict"):
         raise ValueError("mode must be 'weak' or 'strict'")
@@ -309,13 +304,14 @@ def find_dominated(
         raise ValueError("against must be 'pure' or 'mixed'")
     if against == "pure":
         return list(_pure_dominated(t, mode))
-    if t.n > SUPPORT_ENUM_LIMIT:
-        raise ValueError(f"mixed dominance is bounded at n <= {SUPPORT_ENUM_LIMIT}, got {t.n}")
     if mode == "weak":
         mixed = ((i, _weak_dominating_mixture(t, i)) for i in range(t.n))
+    elif t.n <= SUPPORT_ENUM_LIMIT:
+        mixed = ((i, _strict_dominating_mixture(t, i)) for i in range(t.n))
     else:
-        rows = payoff_rows(t)
-        mixed = ((i, _strict_dominating_mixture(rows, i)) for i in range(t.n))
+        raise ValueError(
+            f"strict mixed dominance is bounded at n <= {SUPPORT_ENUM_LIMIT}, got {t.n}"
+        )
     return [(i, w) for i, w in mixed if w is not None]
 
 

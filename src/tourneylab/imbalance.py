@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .equilibrium import PlayabilityReport, payoff_rows, tournament_equilibrium
+from .equilibrium import PlayabilityReport, tournament_equilibrium
 from .rational import Vector
 from .tournament import Tournament, degree_profile
 
@@ -244,7 +244,7 @@ def imbalance_report(
     `playability`, classify_playability(t) if given, supplies the equilibrium."""
     profile = uniform_profile(t)
     e_in_sorted = tuple(sorted(degree_profile(t).e_in, reverse=True))
-    eq = playability.equilibrium if playability else tournament_equilibrium(payoff_rows(t))
+    eq = playability.equilibrium if playability else tournament_equilibrium(t.win)
     n_t = n_e = probs = None
     if eq is not None:
         n_t = nash_ties(eq)

@@ -512,8 +512,8 @@ def enumerate_tournaments(n: int, up_to_iso: bool = False) -> Iterator[Tournamen
 # ---------------------------------------------------------------------------
 
 def _k_limit(n: int) -> int:
-    # (2m+1)-vertex games admit k <= m+1; even orders (used only by the
-    # 4-object example) admit k <= n/2
+    # (2m+1)-vertex games admit k <= m+1; even orders, which analyze checks
+    # too, admit k <= n/2
     return (n + 1) // 2 if n % 2 == 1 else n // 2
 
 

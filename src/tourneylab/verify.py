@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .construct import imbalanced_rps
-from .equilibrium import _playable_classes, _sign_row, _signed_kernel, packed_payoff_rows
-from .equilibrium import payoff_rows, tournament_equilibrium
+from .equilibrium import _playable_classes, _signed_kernel, packed_payoff_rows
+from .equilibrium import tournament_equilibrium
 from .imbalance import Majorization, compare_prefix_sums, nash_entropy
 from .rational import Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
@@ -157,7 +157,7 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats:
     equilibrium is x / sum(x)) and its win counts w: payoffs (2w - n + 1)/(n - 1)."""
     objects, packed = args
     win = tournament_from_canonical(objects, packed).win
-    x = _signed_kernel([_sign_row(w, objects) for w in win])
+    x = _signed_kernel(win)
     assert min(x) > 0 or max(x) < 0, f"class {packed} of {objects} objects is not playable"
     x = sorted(map(abs, x), reverse=True)
     total = sum(x)
@@ -670,7 +670,7 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, Fraction]
     largest equilibrium probability) of one playable class, which must be strong."""
     objects, packed = args
     t = tournament_from_canonical(objects, packed)
-    eq = tournament_equilibrium(payoff_rows(t))
+    eq = tournament_equilibrium(t.win)
     assert eq is not None and is_strong(t), f"class {packed} is not playable and strong"
     kmin_all = all(map(_k_minimizing_checker(t), range(1, _k_limit(objects) + 1)))
     return packed, landau_bound_check(t), kmin_all, max(eq)
@@ -686,7 +686,7 @@ def _strong_unplayable_examples(n: int, count: int) -> tuple[int, ...]:
             break
         t = tournament_from_canonical(n, packed)
         if (is_strong(t) and canonical_form(t) == packed
-                and tournament_equilibrium(payoff_rows(t)) is None):
+                and tournament_equilibrium(t.win) is None):
             found.append(packed)
     if len(found) < count:
         raise RuntimeError(f"found {len(found)} strong unplayable {n}-object classes, not {count}")

@@ -652,6 +652,25 @@ def test_verify_all_checks_every_bound_first(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_verify_all_runs_every_odd_structural_size(tmp_path, capsys, monkeypatch, k):
+    asked = []
+
+    def stub(suite):
+        def run(size, **opts):
+            asked.append((suite, size))
+            return SimpleNamespace(ok=True, to_json_dict=dict, to_markdown=str)
+
+        return run
+
+    for suite in ("verify_theorem", "verify_even_unplayable", "verify_structural_lemmas"):
+        monkeypatch.setattr(f"tourneylab.cli.{suite}", stub(suite))
+    code, _, _ = run_cli(["verify", "all", "--n", str(k), "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    structural = [size for suite, size in asked if suite == "verify_structural_lemmas"]
+    assert structural == list(range(3, 2 * k + 2, 2))
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_jobs_below_one_exit_1(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:

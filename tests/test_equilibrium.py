@@ -26,7 +26,6 @@ from tourneylab.equilibrium import (
     _embed,
     _playable_classes,
     _signed_kernel,
-    packed_payoff_rows,
     payoff_rows,
     tournament_equilibrium,
 )
@@ -256,15 +255,31 @@ def test_dominated_lone_object_has_no_dominator():
 
 
 def test_dominated_mixed_is_bounded(monkeypatch):
-    # a 9-object mixed call is refused before any system is solved
-    def solve(*args):
-        raise AssertionError("a dominance system was solved")
+    # weak mode reads win masks at any size: at 9 and 51 objects each dominated
+    # object gets the pure weak dominator with the most wins, the largest index
+    # on a tie
+    rng = random.Random(24)
+    hits = 0
+    for n in (9, 51):
+        for t in seeded_games(n, rng):
+            expected = []
+            for i, row in enumerate(t.beats):
+                need = [i] + [j for j in range(n) if row[j]]  # k beats i and all i beats
+                dominators = [k for k in range(n) if all(t.beats[k][j] for j in need)]
+                if dominators:
+                    best = max(dominators, key=lambda k: (sum(t.beats[k]), k))
+                    expected.append((i, tuple(F(int(j == best)) for j in range(n))))
+            assert find_dominated(t, "weak", "mixed") == expected
+            hits += len(expected)
+    assert hits >= 500  # 608, two of them tied on wins
 
-    monkeypatch.setattr(equilibrium, "_weak_dominating_mixture", solve)
-    monkeypatch.setattr(equilibrium, "_strict_dominating_mixture", solve)
-    for mode in ("weak", "strict"):
-        with pytest.raises(ValueError, match="bounded at n <= 8"):
-            find_dominated(imbalanced_rps(4), mode, "mixed")
+    # a 9-object strict call is refused before any odd support is searched
+    def search(*args):
+        raise AssertionError("an odd support was searched")
+
+    monkeypatch.setattr(equilibrium, "_strict_dominating_mixture", search)
+    with pytest.raises(ValueError, match="bounded at n <= 8"):
+        find_dominated(imbalanced_rps(4), "strict", "mixed")
 
 
 # The exact LP that find_dominated's mixed mode solved before its closed
@@ -409,7 +424,7 @@ def test_playable_classes_match_the_full_build(n):
     playable = {
         c: a
         for c, a in zip(_iso_classes(n), _automorphism_counts(n))
-        if tournament_equilibrium(packed_payoff_rows(n, c)) is not None
+        if tournament_equilibrium(tournament_from_canonical(n, c).win) is not None
     }
     assert list(forms) == sorted(forms)
     assert dict(zip(forms, auts)) == playable
@@ -424,10 +439,10 @@ def one_step_playable_classes(n):
     full = (1 << n) - 1
     for packed in _iso_classes(n - 1):
         win = [*tournament_from_canonical(n - 1, packed).win, full >> 1]
-        x = _signed_kernel(payoff_rows(Tournament._from_masks(n, win)))
+        x = _signed_kernel(win)
         neg = sum(1 << i for i, v in enumerate(x) if v < 0)
         switched = [w ^ (full ^ neg if neg >> i & 1 else neg) for i, w in enumerate(win)]
-        assert tournament_equilibrium(payoff_rows(Tournament._from_masks(n, switched)))
+        assert tournament_equilibrium(switched)
         seen.setdefault(*_canonical_search(switched))
     forms = tuple(sorted(seen))
     return forms, tuple(seen[c] for c in forms)

@@ -355,7 +355,7 @@ def fraction_theil(payoffs, alpha):
 def test_statistics_match_fraction_definitions_on_seeded_games():
     import random
 
-    from tourneylab.equilibrium import payoff_rows, tournament_equilibrium
+    from tourneylab.equilibrium import tournament_equilibrium
     from tourneylab.tournament import tournament_from_canonical
 
     rng = random.Random(16)
@@ -374,7 +374,7 @@ def test_statistics_match_fraction_definitions_on_seeded_games():
         if min(payoffs) < 0:
             for alpha in (F(1, 2), F(1, 3), F(7, 10), F(99, 100)):
                 assert ui_theil(p, alpha) == fraction_theil(payoffs, alpha)
-    vectors = [tournament_equilibrium(payoff_rows(t)) for t in games]
+    vectors = [tournament_equilibrium(t.win) for t in games]
     vectors = [v for v in vectors if v is not None]
     vectors += [[F(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(9)]]
     assert len(vectors) >= 6

@@ -89,15 +89,15 @@ def signed_sub_pfaffians(rows):
 @given(masks())
 def test_equilibrium_kernel_matches_oracles(game):
     n, mask = game
-    rows = packed_payoff_rows(n, mask)
-    point = tournament_equilibrium(rows)  # asserts every pivot Pfaffian odd
+    rows, win = packed_payoff_rows(n, mask), tournament_from_canonical(n, mask).win
+    point = tournament_equilibrium(win)  # asserts every pivot Pfaffian odd
     null = sympy.Matrix(rows).nullspace()
     assert len(null) == n % 2
     if n % 2 == 0:
-        assert point is None and _signed_kernel(rows) is None
+        assert point is None and _signed_kernel(win) is None
         return
     pf = signed_sub_pfaffians(rows)
-    assert _signed_kernel(rows) == pf
+    assert _signed_kernel(win) == pf
     assert all(x % 2 == 1 for x in pf)
     (v,) = null
     assert sympy.Matrix(pf) * v[0] == v * pf[0]
@@ -117,7 +117,7 @@ def general_point(t):
 def test_equilibrium_matches_general_polytope_up_to_7_objects():
     for n in range(1, 8):
         for t in enumerate_tournaments(n, up_to_iso=True):
-            assert tournament_equilibrium(payoff_rows(t)) == general_point(t)
+            assert tournament_equilibrium(t.win) == general_point(t)
 
 
 def test_equilibrium_matches_general_polytope_on_9_objects():
@@ -128,8 +128,9 @@ def test_equilibrium_matches_general_polytope_on_9_objects():
     masks += [281350272, canonical_form(imbalanced_rps(4))]
     playable = 0
     for m in masks:
-        point = tournament_equilibrium(packed_payoff_rows(9, m))
-        assert point == general_point(tournament_from_canonical(9, m))
+        t = tournament_from_canonical(9, m)
+        point = tournament_equilibrium(t.win)
+        assert point == general_point(t)
         playable += point is not None
     assert playable >= 2
 
@@ -141,7 +142,7 @@ def test_blow_up_spreads_glued_mass_uniformly(k, m):
     for g in range(outer.n):
         blown = blow_up(outer, g, classic_cycle(m))
         expected = [x for i, x in enumerate(eq) if i != g] + [eq[g] / m] * m
-        assert tournament_equilibrium(payoff_rows(blown)) == tuple(expected)
+        assert tournament_equilibrium(blown.win) == tuple(expected)
 
 
 def large_games():
@@ -159,18 +160,11 @@ def large_games():
 @pytest.mark.parametrize("t", list(large_games()), ids=lambda t: f"n{t.n}")
 def test_pfaffian_kernel_matches_fraction_bareiss(t):
     rows = payoff_rows(t)
-    x = _signed_kernel(rows)
+    x = _signed_kernel(t.win)
     assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
     (v,) = kernel_basis(RationalMatrix(rows))  # normalized so v[0] == 1
     assert all(x[0] * vi == xi for vi, xi in zip(v, x))
     assert all(xi % 2 == 1 for xi in x)
-
-
-def test_pfaffian_kernel_rejects_even_pivot():
-    # skew, leading Pfaffian 2: not a tournament, so no vector comes back
-    rows = [[0, 2, 1], [-2, 0, 1], [-1, -1, 0]]
-    with pytest.raises(AssertionError, match="even pivot Pfaffian 2"):
-        _signed_kernel(rows)
 
 
 def test_odd_games_never_reach_bareiss(monkeypatch):
@@ -184,4 +178,4 @@ def test_odd_games_never_reach_bareiss(monkeypatch):
     games.append(tournament_from_canonical(11, random.Random(11).getrandbits(55)))
     for t in games:
         build_analysis(t)
-        tournament_equilibrium(packed_payoff_rows(t.n, canonical_form(t)))
+        tournament_equilibrium(tournament_from_canonical(t.n, canonical_form(t)).win)

@@ -33,7 +33,6 @@ from tourneylab import tournament, verify
 from tourneylab.equilibrium import (
     _playable_classes,
     packed_payoff_rows,
-    payoff_rows,
     tournament_equilibrium,
 )
 from tourneylab.imbalance import (
@@ -107,9 +106,10 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
     )
     playable = []
     for packed in _iso_classes(7):
-        eq = tournament_equilibrium(packed_payoff_rows(7, packed))
+        t = tournament_from_canonical(7, packed)
+        eq = tournament_equilibrium(t.win)
         if eq is not None:
-            wins = sorted(degree_profile(tournament_from_canonical(7, packed)).e_in)
+            wins = sorted(degree_profile(t).e_in)
             playable.append((wins, eq))
     strict_wins, strict_eq = (
         sum(majorizes(a[i], b[i]) is Majorization.STRICT for a in playable for b in playable)
@@ -125,7 +125,7 @@ def test_class_stats_match_the_fraction_statistics(objects):
     # from the Fraction equilibrium and the uniform payoff profile
     for packed in _playable_classes(objects)[0]:
         t = tournament_from_canonical(objects, packed)
-        eq = tournament_equilibrium(payoff_rows(t))
+        eq = tournament_equilibrium(t.win)
         profile = uniform_profile(t)
         expected = verify._ClassStats(
             packed,
@@ -168,7 +168,7 @@ def test_nine_object_equilibrium_majorization_witness():
     # does not majorize: assertion (d) fails at 9 objects as it does at 7
     t = tournament_from_canonical(9, 281350272)
     assert canonical_form(t) == 281350272
-    eq = tournament_equilibrium(payoff_rows(t))
+    eq = tournament_equilibrium(t.win)
     assert eq is not None and all(x > 0 for x in eq)
     seq = tuple(sorted(eq, reverse=True))
     assert seq == (
@@ -183,10 +183,10 @@ def test_equilibrium_majorization_fails_at_every_odd_size_by_blow_up():
     # the construction's first 2k entries then the witness's scaled by 3^-k,
     # and the (2k+7)-object construction's sequence does not majorize it
     witness = tournament_from_canonical(7, 103560)
-    w_eq = tournament_equilibrium(payoff_rows(witness))
+    w_eq = tournament_equilibrium(witness.win)
     for k in range(1, 23):
         t = blow_up(imbalanced_rps(k), "s", witness)
-        eq = tournament_equilibrium(payoff_rows(t))
+        eq = tournament_equilibrium(t.win)
         assert eq == blow_up_equilibrium(imbalanced_equilibrium_closed_form(k), 2 * k, w_eq)
         assert all(x > 0 for x in eq)
         assert majorizes(imbalanced_equilibrium_closed_form(k + 3), eq) is Majorization.NO
@@ -304,7 +304,7 @@ def brute_structural_report(n: int) -> StructuralLemmasReport:
     classes = []
     for c in _iso_classes(n):
         t = tournament_from_canonical(n, c)
-        classes.append((c, t, tournament_equilibrium(payoff_rows(t))))
+        classes.append((c, t, tournament_equilibrium(t.win)))
     playable = [(c, t, eq) for c, t, eq in classes if eq is not None]
     strong_unplayable = [c for c, t, eq in classes if eq is None and is_strong(t)]
     return StructuralLemmasReport(
@@ -350,7 +350,8 @@ def test_structural_failure_lists(monkeypatch):
     # fake checks that fail on chosen playable 7-object classes, and record
     # which classes they are asked about
     playable = [
-        c for c in _iso_classes(7) if tournament_equilibrium(packed_payoff_rows(7, c)) is not None
+        c for c in _iso_classes(7)
+        if tournament_equilibrium(tournament_from_canonical(7, c).win) is not None
     ]
     landau_bad, kmin_bad = set(playable[:2]), set(playable[1:3])
     asked = {"landau": set(), "kmin": set()}
