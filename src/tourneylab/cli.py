@@ -17,7 +17,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, starmap
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -32,8 +33,8 @@ from .imbalance import imbalance_report
 from .tournament import (
     EdgeListParseError,
     Tournament,
-    _k_limit,
-    _k_minimizing_checker,
+    _k_minimizing_sweep,
+    _members,
     degree_profile,
     format_edge_list,
     landau_bound_check,
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNPLAYABLE = 2
 EXIT_BUDGET = 3
+GENERATE_MAX_OBJECTS = 1001  # the largest game generate writes: about 4 MB of edge list
 
 
 class CsvParseError(ValueError):
@@ -93,7 +95,13 @@ def _json_text(x, pad: str = "\n") -> str:
     if kinds == {int}:
         items = map(str, x)
     elif kinds <= {list, tuple} and set(map(len, x)) == {2} and set(map(type, chain(*x))) == {int}:
-        items = starmap(f"[{inner}  {{}},{inner}  {{}}{inner}]".format, x)
+        cell = f"{inner}  "  # one join per run of pairs that share a first entry
+        items = (
+            f"[{cell}{i},{cell}"
+            + f"{inner}],{inner}[{cell}{i},{cell}".join(map(str, map(itemgetter(1), run)))
+            + f"{inner}]"
+            for i, run in groupby(x, itemgetter(0))
+        )
     else:
         items = (_json_text(v, inner) for v in x)
     return f"[{inner}" + f",{inner}".join(items) + f"{pad}]"
@@ -175,14 +183,13 @@ def build_analysis(t: Tournament, alpha: Fraction = Fraction(1, 2)) -> dict:
     profile = degree_profile(t)
     report = classify_playability(t)
     imb = imbalance_report(t, alpha, report) if t.n >= 2 else None
-    kmin_ok = _k_minimizing_checker(t)
-    kmin = [{"k": k, "ok": kmin_ok(k)} for k in range(1, _k_limit(t.n) + 1)]
+    kmin = [{"k": k, "ok": ok} for k, ok in enumerate(_k_minimizing_sweep(t), 1)]
     doc: dict = {
         "schema": 1,
         "input": {
             "n": t.n,
             "labels": list(t.labels),
-            "edges": [list(e) for e in t.edges()],
+            "edges": [[i, j] for i, w in enumerate(t.win) for j in _members(w)],
         },
         "degree_profile": {
             "wins": list(profile.e_in),
@@ -290,7 +297,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    objects = 2 * args.n + 1 if args.kind == "imbalanced" else args.n
     try:
+        if objects > GENERATE_MAX_OBJECTS:
+            raise ValueError(f"generate is bounded at {GENERATE_MAX_OBJECTS} objects, got {objects}")
         if args.kind == "imbalanced":
             t = imbalanced_rps(args.n)
             equilibrium = imbalanced_equilibrium_closed_form(args.n)

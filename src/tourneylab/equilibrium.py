@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis
 from .tournament import Tournament, _extended_classes, _iso_classes, _unpack, is_strong
-from .tournament import _min_wins_extensions
+from .tournament import _loss_masks, _min_wins_extensions
 
 SUPPORT_ENUM_LIMIT = 8
 
@@ -57,24 +57,24 @@ def _signed_kernel(win: Sequence[int]) -> list[int] | None:
     sub-tournaments as entries, with exact divisions by Knuth's
     overlapping-Pfaffian identity (Electron. J. Combin. 3(2), 1996, R5). Mod 2 a
     tournament matrix is J - I, so each one is odd: no pivot search, and the
-    asserted odd pivots make every even game nonsingular."""
+    asserted odd pivots make every even game nonsingular. Row i holds columns
+    n - 1 down to i + 1, so zip aligns two rows by column without slicing."""
     n = len(win)
-    up = [[(w >> j & 1) * 2 - 1 for j in range(i + 1, n)] for i, w in enumerate(win)]
+    up = [[(w >> j & 1) * 2 - 1 for j in range(n - 1, i, -1)] for i, w in enumerate(win)]
     prev = 1
     for p in range(0, n - 1, 2):
-        (piv, *tp), tq = up[p], up[p + 1]
+        tp, tq, piv = up[p], up[p + 1], up[p][-1]
         assert piv & 1, f"even pivot Pfaffian {piv} at rows {p}, {p + 1}: not a tournament"
-        for i, (pi, qi) in enumerate(zip(tp, tq), p + 2):
-            rest = zip(up[i], tp[i - p - 1 :], tq[i - p - 1 :])
-            up[i] = [(piv * a + qi * ap - pi * aq) // prev for a, ap, aq in rest]
+        for i, pi, qi in zip(range(n - 1, p + 1, -1), tp, tq):
+            up[i] = [(piv * a + qi * ap - pi * aq) // prev for a, ap, aq in zip(up[i], tp, tq)]
         prev = piv
     if n % 2 == 0:
         return None
-    x = [prev]  # the free entry is the last pivot; back-substitute pair by pair
+    x = [prev]  # x[k] is entry n - 1 - k: the free entry is the last pivot
     for p in range(n - 3, -1, -2):
-        piv, *tp = up[p]
-        x[:0] = sum(map(mul, up[p + 1], x)) // piv, -sum(map(mul, tp, x)) // piv
-    return x
+        piv = up[p][-1]
+        x += -sum(map(mul, up[p], x)) // piv, sum(map(mul, up[p + 1], x)) // piv
+    return x[::-1]
 
 
 def tournament_equilibrium(win: Sequence[int]) -> Vector | None:
@@ -275,14 +275,18 @@ def _strict_dominating_mixture(t: Tournament, i: int) -> Vector | None:
 def _pure_dominated(t: Tournament, mode: str) -> Iterator[tuple[int, int]]:
     """(dominated, first dominator) for each object that another one dominates,
     as find_dominated's pure mode defines it. With W_i the objects i beats, k
-    weakly dominates i iff k beats i and W_i <= W_k, and strictly iff moreover
-    W_i is empty and k beats every other object."""
+    weakly dominates i iff k beats i and all of W_i, so iff k lies in each of
+    their beater masks; strictly iff moreover W_i is empty and k is a source."""
+    beaters = _loss_masks(t)
+    source = sum(1 << k for k, w in enumerate(t.win) if w.bit_count() == t.n - 1)
     for i, w_i in enumerate(t.win):
-        need = w_i | 1 << i  # k beats i and everything i beats
-        for k, w_k in enumerate(t.win):
-            if not need & ~w_k and (mode == "weak" or not w_i and w_k.bit_count() == t.n - 1):
-                yield i, k
-                break
+        d = beaters[i] if mode == "weak" else 0 if w_i else beaters[i] & source
+        while d and w_i:
+            j = w_i & -w_i
+            d &= beaters[j.bit_length() - 1]
+            w_i ^= j
+        if d:
+            yield i, (d & -d).bit_length() - 1
 
 
 def find_dominated(

@@ -188,9 +188,11 @@ def _win_masks(n: int, edges: list[tuple[int, int]], lines: list[int] | None = N
 def parse_edge_list(text: str) -> Tournament:
     """Parse the shared text format: first line n, then one "i j" per line.
 
-    ``#`` starts a comment; ``# label <index> <name>`` comments attach labels;
-    each index must lie in [0, n) and be labeled once, and labels must differ.
-    An edge error names the edge's line.
+    Blank lines are skipped, and so is a comment: a line whose first word
+    starts with ``#``. A ``#`` after a line's first word starts no comment, so
+    ``0 1 # x`` is a malformed edge. ``# label <index> <name>`` comments attach
+    labels; each index must lie in [0, n) and be labeled once, and labels must
+    differ. An edge error names the edge's line.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -533,29 +535,33 @@ def k_minimizing_check(t: Tournament, k: int) -> bool:
     """
     if not 1 <= k <= _k_limit(t.n):
         raise ValueError(f"k={k} out of range for n={t.n}")
-    return _k_minimizing_checker(t)(k)
+    return _k_minimizing_sweep(t)[k - 1]
 
 
-def _k_minimizing_checker(t: Tournament) -> Callable[[int], bool]:
-    """k_minimizing_check(t, .) for valid k, with the beater masks built once."""
-    n = t.n
+def _k_minimizing_sweep(t: Tournament) -> list[bool]:
+    """k_minimizing_check(t, k) for k = 1 .. _k_limit(t.n), in one pass per
+    loss threshold. The k that share a threshold share F and T, so a member b
+    fails exactly the k from |R| to the largest |U| among the U that hold R."""
     beaters = _loss_masks(t)
-    losses = [m.bit_count() for m in beaters]
-
-    def check(k: int) -> bool:
-        if k == n:
-            return False  # no object lies outside M
-        threshold = sorted(losses)[k - 1]
-        forced = sum(1 << i for i, x in enumerate(losses) if x < threshold)
-        pool = forced | sum(1 << i for i, x in enumerate(losses) if x == threshold)
-        wide = [u for u in (m & pool for m in beaters) if u.bit_count() >= k]
-        for b in range(n):
-            r = forced | 1 << b | beaters[b]
-            if r.bit_count() <= k and any(r & ~u == 0 for u in wide):
-                return False
-        return True
-
-    return check
+    order = sorted(range(t.n), key=lambda i: beaters[i].bit_count())
+    ranked = [beaters[i].bit_count() for i in order]
+    prefix = list(itertools.accumulate((1 << i for i in order), initial=0))  # sums are unions
+    ok = [t.n > 1] * _k_limit(t.n)  # one object: nothing lies outside M
+    k = 1
+    while k <= len(ok):
+        tied = k - 1 + ranked.count(ranked[k - 1])  # k opens the group: |F| = k - 1
+        forced, pool, last = prefix[k - 1], prefix[tied], min(tied, len(ok))
+        # R lies in some U <= F | T only if b and its beaters are in F | T
+        rs = [r for b in order[:tied] if not (r := forced | 1 << b | beaters[b]) & ~pool]
+        if rs:
+            wide = sorted(((u.bit_count(), u) for u in (m & pool for m in beaters)), reverse=True)
+        for r in rs:
+            low = max(r.bit_count(), k)  # the first U that holds R is the largest
+            high = min(next((c for c, u in wide if c < low or not r & ~u), 0), last)
+            if low <= high:
+                ok[low - 1 : high] = [False] * (high - low + 1)
+        k = last + 1
+    return ok
 
 
 def landau_bound_check(t: Tournament) -> bool:

@@ -39,8 +39,7 @@ from .tournament import (
     _automorphism_counts,
     _class_count,
     _iso_classes,
-    _k_limit,
-    _k_minimizing_checker,
+    _k_minimizing_sweep,
     _orbit_masks,
     _strong_count,
 )
@@ -672,7 +671,7 @@ def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, Fraction]
     t = tournament_from_canonical(objects, packed)
     eq = tournament_equilibrium(t.win)
     assert eq is not None and is_strong(t), f"class {packed} is not playable and strong"
-    kmin_all = all(map(_k_minimizing_checker(t), range(1, _k_limit(objects) + 1)))
+    kmin_all = all(_k_minimizing_sweep(t))
     return packed, landau_bound_check(t), kmin_all, max(eq)
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourneylab import canonical_form, format_edge_list, imbalanced_rps, parse_edge_list
-from tourneylab import tournament, verify
+from tourneylab import cli, tournament, verify
+from tourneylab.construct import classic_cycle
 from tourneylab.cli import _jobs_arg, _json_text, main
 
 WELL_EDGES = """\
@@ -256,6 +259,38 @@ def test_generate_invalid_n(capsys):
     assert code == 1 and "odd" in err
 
 
+@pytest.mark.parametrize(
+    "kind, n, objects",
+    [
+        ("imbalanced", 501, 1003),
+        ("classic-cycle", 1003, 1003),
+        ("imbalanced", 10**8, 2 * 10**8 + 1),
+        ("classic-cycle", 10**8, 10**8),
+    ],
+)
+def test_generate_above_the_cap_exits_before_building(kind, n, objects, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["generate", kind, "--n", str(n)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == f"error: generate is bounded at {cli.GENERATE_MAX_OBJECTS} objects, got {objects}\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kind, n", [("imbalanced", 500), ("classic-cycle", 1001)])
+def test_generate_builds_at_the_cap(kind, n, monkeypatch, capsys):
+    built = []
+    for name in ("imbalanced_rps", "classic_cycle"):
+        monkeypatch.setattr(cli, name, lambda n: built.append(n) or classic_cycle(3))
+    monkeypatch.setattr(cli, "imbalanced_equilibrium_closed_form", lambda n: (Fraction(1, 3),) * 3)
+    code, out, _ = run_cli(["generate", kind, "--n", str(n)], capsys)
+    assert code == 0 and built == [n]
+    assert parse_edge_list(out) == classic_cycle(3)
+
+
 def test_generate_json(capsys):
     code, out, _ = run_cli(["generate", "imbalanced", "--n", "2", "--json"], capsys)
     assert code == 0
@@ -493,7 +528,9 @@ JSON_VALUES = st.recursive(
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(), inner)
     | st.lists(st.integers() | st.booleans())
-    | st.lists(st.tuples(st.integers(), st.integers()) | st.lists(st.integers(), max_size=3)),
+    | st.lists(st.tuples(st.integers(), st.integers()) | st.lists(st.integers(), max_size=3))
+    # runs of int pairs that share their first entry, as in an edge list
+    | st.lists(st.tuples(st.integers(0, 2), st.integers()) | st.lists(st.integers(0, 2), min_size=2)),
     max_leaves=20,
 )
 
@@ -501,6 +538,8 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(JSON_VALUES)
 @example({"x": [float("nan"), float("inf"), -float("inf"), 0.1, {}, [], (), [True, 1]]})
+@example([[0, 1], (0, -2), [1, 0], [0, 3], [0, 10**30]])
+@example([[0, 1], [0, True]])
 def test_json_text_equals_indented_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 

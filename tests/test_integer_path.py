@@ -107,6 +107,21 @@ def test_equilibrium_kernel_matches_oracles(game):
         assert point is None
 
 
+@pytest.mark.parametrize("n", range(1, 14))
+def test_pfaffian_kernel_matches_expansion_and_bareiss_at_every_size_to_13(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        t = tournament_from_canonical(n, rng.getrandbits(n * (n - 1) // 2))
+        rows = payoff_rows(t)
+        x, basis = _signed_kernel(t.win), kernel_basis(RationalMatrix(rows))
+        if n % 2 == 0:
+            assert x is None and basis == []
+            continue
+        assert x == signed_sub_pfaffians(rows)
+        (v,) = basis  # normalized so v[0] == 1
+        assert all(x[0] * vi == xi for vi, xi in zip(v, x))
+
+
 def general_point(t):
     """The full-support point of the general Fraction kernel polytope, or None."""
     P = equilibrium_polytope(payoff_matrix(t))

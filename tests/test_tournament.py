@@ -216,6 +216,121 @@ def test_comments_that_only_start_like_labels_are_ignored():
     assert t.labels == ("0", "1", "2")
 
 
+# (id, text, expected): expected is ("ok", n, win masks, labels) or
+# ("error", message, line); recorded from the line-by-line parser, so each
+# input must keep its tournament, or its message and line number
+PARSE_CASES = [
+    ('crlf', '3\r\n0 1\r\n1 2\r\n2 0\r\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('tabs', '3\n0\t1\n\t1 \t 2\n2\t0\t\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('trailing spaces', '3   \n0 1  \n1 2 \n2 0      \n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('comments and blanks between edges', '3\n\n0 1\n   # note\n\n1 2\n#\n  \n2 0\n# end',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('comment before the count', '# header\n\n3\n0 1\n1 2\n2 0\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('other line breaks', '3\x0b0 1\x0c1 2\u20282 0\x85',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('unicode spaces', '3\n0\xa01\n1\u20032\n2\x1f0\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('plus signs', '+3\n+0 1\n1 +2\n2 0\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('leading zeros', '03\n00 01\n1 002\n2 0\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('unicode digits', '٣\n٠ ١\n１ 2\n२ 0\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('underscored', '0_3\n0 1\n0_1 2\n2 0_0\n',
+     ('ok', 3, (2, 4, 1), ('0', '1', '2'))),
+    ('out of range', '3\n0 1\n1 3\n2 0\n',
+     ('error', 'line 3: edge (1,3) out of range for n=3', 3)),
+    ('negative', '3\n0 1\n-1 2\n2 0\n',
+     ('error', 'line 3: edge (-1,2) out of range for n=3', 3)),
+    ('out of range after a duplicate', '3\n0 1\n0 1\n9 9\n',
+     ('error', 'line 3: duplicate edge (0,1)', 3)),
+    ('duplicate', '3\n0 1\n1 2\n0 1\n2 0\n',
+     ('error', 'line 4: duplicate edge (0,1)', 4)),
+    ('contradictory', '3\n0 1\n1 2\n1 0\n2 0\n',
+     ('error', 'line 4: contradictory pair: both (0,1) and (1,0) given', 4)),
+    ('self-loop', '3\n0 1\n1 1\n2 0\n',
+     ('error', 'line 3: self-loop at vertex 1', 3)),
+    ('missing pair', '3\n0 1\n2 0\n',
+     ('error', 'missing orientation for pair (1,2)', None)),
+    ('missing pair with extra comments', '4\n0 1\n# x\n0 2\n0 3\n1 2\n2 3\n',
+     ('error', 'missing orientation for pair (1,3)', None)),
+    ('three fields', '3\n0 1\n1 2 7\n2 0\n',
+     ('error', "line 3: expected 'winner loser' pair", 3)),
+    ('one field', '3\n0 1\n1\n2 0\n',
+     ('error', "line 3: expected 'winner loser' pair", 3)),
+    ('hash after data', '3\n0 1 # x\n1 2\n2 0\n',
+     ('error', "line 2: expected 'winner loser' pair", 2)),
+    ('hash after count', '3 # n\n0 1\n1 2\n2 0\n',
+     ('error', 'line 1: expected vertex count on first data line', 1)),
+    ('hash glued to data', '3\n0 1#x\n1 2\n2 0\n',
+     ('error', 'line 2: edge endpoints must be integers', 2)),
+    ('non-integer endpoint', '3\n0 1\n1 two\n2 0\n',
+     ('error', 'line 3: edge endpoints must be integers', 3)),
+    ('float endpoint', '3\n0 1\n1 2.0\n2 0\n',
+     ('error', 'line 3: edge endpoints must be integers', 3)),
+    ('non-integer count', 'three\n0 1\n',
+     ('error', 'line 1: vertex count is not an integer', 1)),
+    ('zero count', '0\n',
+     ('error', 'line 1: vertex count must be positive', 1)),
+    ('negative count', '-2\n0 1\n',
+     ('error', 'line 1: vertex count must be positive', 1)),
+    ('count with two fields', '3 3\n0 1\n',
+     ('error', 'line 1: expected vertex count on first data line', 1)),
+    ('empty', '',
+     ('error', 'empty input: no vertex count', None)),
+    ('only comments', '# a\n#b\n\n',
+     ('error', 'empty input: no vertex count', None)),
+    ('structural error before a bad edge', '3\n5 5\n0 1 2\n',
+     ('error', "line 3: expected 'winner loser' pair", 3)),
+    ('bad edge before a structural error', '3\n0 x\n0 1 2\n',
+     ('error', 'line 2: edge endpoints must be integers', 2)),
+    ('bad label comment', '3\n0 1\n# label 1\n1 2\n2 0\n',
+     ('error', 'line 3: bad label comment', 3)),
+    ('label then bad edge line', '3\n0 1 2\n# label x a\n',
+     ('error', "line 2: expected 'winner loser' pair", 2)),
+    ('labels', '3\n# label 0 rock\n#label 2 scissors\n0 1\n1 2\n2 0\n',
+     ('ok', 3, (2, 4, 1), ('rock', '1', 'scissors'))),
+    ('label out of range', '3\n# label 3 x\n0 1\n1 2\n2 0\n',
+     ('error', 'line 2: label index 3 out of range for n=3', 2)),
+    ('label twice', '3\n# label 1 a\n# label 1 b\n0 1\n1 2\n2 0\n',
+     ('error', "line 3: label index 1 is already labeled 'a'", 3)),
+    ('repeated label name', '3\n# label 0 a\n# label 1 a\n0 1\n1 2\n2 0\n',
+     ('error', "label 'a' names more than one object", None)),
+    ('label out of range with a bad edge', '3\n# label 7 x\n0 0\n',
+     ('error', 'line 2: label index 7 out of range for n=3', 2)),
+    ('one object', '1\n',
+     ('ok', 1, (0,), ('0',))),
+    ('one object with an edge', '1\n0 0\n',
+     ('error', 'line 2: self-loop at vertex 0', 2)),
+    ('extra edge', '2\n0 1\n1 0\n0 1\n',
+     ('error', 'line 3: contradictory pair: both (0,1) and (1,0) given', 3)),
+    ('duplicate with a pair missing', '3\n0 1\n0 1\n',
+     ('error', 'line 3: duplicate edge (0,1)', 3)),
+    ('out of range with pairs missing', '3000\n0 1\n5000 1\n',
+     ('error', 'line 3: edge (5000,1) out of range for n=3000', 3)),
+    ('unicode-digit label index', '3\n# label ١ b\n0 1\n1 2\n2 0\n',
+     ('ok', 3, (2, 4, 1), ('0', 'b', '2'))),
+    ('labels after the edges', '2\n1 0\n# label 1 x\n',
+     ('ok', 2, (0, 1), ('0', 'x'))),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected", [c[1:] for c in PARSE_CASES], ids=[c[0] for c in PARSE_CASES]
+)
+def test_edge_list_inputs_parse_as_recorded(text, expected):
+    try:
+        t = parse_edge_list(text)
+    except EdgeListParseError as exc:
+        assert ("error", str(exc), exc.line) == expected
+    else:
+        assert ("ok", t.n, t.win, t.labels) == expected
+
+
 @pytest.mark.parametrize("bad", ["rock paper", "", " rock", "tab\there", "line\u2028break"])
 def test_format_edge_list_rejects_labels_it_cannot_write(bad):
     t = from_edge_list(3, [(0, 1), (1, 2), (2, 0)], labels=[bad, "b", "c"])

@@ -360,12 +360,12 @@ def test_structural_failure_lists(monkeypatch):
         asked["landau"].add(canonical_form(t))
         return canonical_form(t) not in landau_bad
 
-    def kmin_checker(t):
+    def kmin_sweep(t):
         asked["kmin"].add(canonical_form(t))
-        return lambda k: canonical_form(t) not in kmin_bad
+        return [canonical_form(t) not in kmin_bad]
 
     monkeypatch.setattr(verify, "landau_bound_check", landau)
-    monkeypatch.setattr(verify, "_k_minimizing_checker", kmin_checker)
+    monkeypatch.setattr(verify, "_k_minimizing_sweep", kmin_sweep)
     rep = verify_structural_lemmas(7, jobs=1)
     assert not rep.ok
     assert rep.playable_count == len(playable) == 12

@@ -30,7 +30,7 @@ from tourneylab import cli
 from tourneylab.cli import _rate_side
 from tourneylab.construct import classic_cycle, imbalanced_rps
 from tourneylab.equilibrium import payoff_rows
-from tourneylab.tournament import _k_limit, _k_minimizing_checker, tournament_from_canonical
+from tourneylab.tournament import _k_limit, _k_minimizing_sweep, tournament_from_canonical
 
 # ---------------------------------------------------------------------------
 # the grid oracles
@@ -113,7 +113,8 @@ def grid_is_strong(beats):
 
 
 def grid_k_minimizing_checker(beats):
-    """_k_minimizing_checker with the beater masks taken from the grid's columns."""
+    """k_minimizing_check(t, .), one k at a time, with the beater masks taken
+    from the grid's columns."""
     n = len(beats)
     beaters = [sum(1 << o for o, won in enumerate(col) if won) for col in zip(*beats)]
     losses = [m.bit_count() for m in beaters]
@@ -185,7 +186,7 @@ def assert_masks_match_grid(t, beats):
     profile = degree_profile(t)
     assert (profile.e_in, profile.e_out) == (wins, tuple(n - 1 - w for w in wins))
     ks = range(1, _k_limit(n) + 1)
-    assert list(map(_k_minimizing_checker(t), ks)) == list(map(grid_k_minimizing_checker(beats), ks))
+    assert _k_minimizing_sweep(t) == list(map(grid_k_minimizing_checker(beats), ks))
     for mode in ("weak", "strict"):
         assert find_dominated(t, mode) == grid_pure_dominated(beats, mode), mode
     assert t.edges() == [(i, j) for i in range(n) for j in range(n) if beats[i][j]]
@@ -240,6 +241,44 @@ def test_masks_match_the_grid_on_seeded_games_at_7_to_51_objects():
         assert_masks_match_grid(t, beats)
         count += 1
     assert count == 42
+
+
+def planted_grids(rng):
+    """(grid, sink, source) for two random tournaments at each of six sizes
+    from 21 to 51 objects, with a sink and a source planted at random places
+    other than object 0. Object 0 then beats the sink, so the sink's
+    lowest-index weak dominator is never the source, its only strict one."""
+    for n in (21, 25, 31, 37, 44, 51):
+        for _ in range(2):
+            beats = [[False] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    w = rng.random() < 0.5
+                    beats[i][j], beats[j][i] = w, not w
+            sink, source = rng.sample(range(1, n), 2)
+            for j in range(n):
+                if j != sink:
+                    beats[sink][j], beats[j][sink] = False, True
+            for j in range(n):
+                if j != source:
+                    beats[source][j], beats[j][source] = True, False
+            yield tuple(map(tuple, beats)), sink, source
+
+
+def test_masks_match_the_grid_on_games_with_a_planted_sink_and_source():
+    rng = random.Random(25)
+    count = 0
+    for beats, sink, source in planted_grids(rng):
+        t = Tournament(len(beats), beats)
+        assert find_dominated(t, "strict") == [(sink, source)]
+        assert dict(find_dominated(t, "weak"))[sink] == 0
+        assert_masks_match_grid(t, beats)
+        # a blow-up at object 0, neither sink nor source, keeps them both
+        for inner in (classic_cycle(3), imbalanced_rps(2)):
+            g = blow_up(t, 0, inner)
+            assert_masks_match_grid(g, g.beats)
+            count += 1
+    assert count == 24
 
 
 # ---------------------------------------------------------------------------
