@@ -11,12 +11,10 @@ tournament games only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis
 from .tournament import Tournament, _extended_classes, _iso_classes, _unpack, is_strong
@@ -127,8 +125,7 @@ def _switched_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
             yield ext
 
 
-@dataclass(frozen=True)
-class EquilibriumPolytope:
+class EquilibriumPolytope(NamedTuple):
     """Exact description of ker(A) ∩ simplex, with the defining matrix kept."""
 
     matrix: RationalMatrix
@@ -148,10 +145,6 @@ class EquilibriumPolytope:
 
 def _empty_polytope(A: RationalMatrix, kdim: int) -> EquilibriumPolytope:
     return EquilibriumPolytope(A, kdim, (), None, (False,) * A.cols)
-
-
-def _point_polytope(A: RationalMatrix, point: Vector) -> EquilibriumPolytope:
-    return EquilibriumPolytope(A, 1, (point,), point, tuple(x > 0 for x in point))
 
 
 def _embed(n: int, support: Sequence[int], values: Sequence[Fraction]) -> Vector:
@@ -179,7 +172,7 @@ def equilibrium_polytope(A: RationalMatrix) -> EquilibriumPolytope:
     point = tuple(x / total for x in v)
     if any(x < 0 for x in point):
         return _empty_polytope(A, 1)
-    return _point_polytope(A, point)
+    return EquilibriumPolytope(A, 1, (point,), point, tuple(x > 0 for x in point))
 
 
 class Playability(Enum):
@@ -187,8 +180,7 @@ class Playability(Enum):
     STRONGLY_PLAYABLE = "strongly_playable"
 
 
-@dataclass(frozen=True)
-class PlayabilityReport:
+class PlayabilityReport(NamedTuple):
     """Classification plus witness data and the strong-connectivity cross-check."""
 
     playability: Playability
@@ -196,15 +188,6 @@ class PlayabilityReport:
     is_strong: bool
     equilibrium: Vector | None = None
     dominating_pair: tuple[int, int] | None = None  # (dominated, dominator)
-
-    @cached_property
-    def polytope(self) -> EquilibriumPolytope:
-        """ker(A) ∩ simplex, built on first use: a tournament's kernel is trivial
-        or one line, so the polytope is the equilibrium or empty."""
-        A = payoff_matrix(self.tournament)
-        if self.equilibrium is None:
-            return _empty_polytope(A, A.cols % 2)
-        return _point_polytope(A, self.equilibrium)
 
     def witness_text(self, labels: Sequence[str]) -> str:
         if self.dominating_pair is not None:

@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .equilibrium import PlayabilityReport, tournament_equilibrium
 from .rational import Vector
 from .tournament import Tournament, degree_profile
 
 
-@dataclass(frozen=True)
-class UniformPayoffProfile:
+class UniformPayoffProfile(NamedTuple):
     """Each object's exact payoff against a uniformly random opponent,
     plus the induced score distribution (score -> probability mass)."""
 
@@ -139,8 +137,12 @@ def majorizes(x: Sequence[Fraction], y: Sequence[Fraction]) -> Majorization:
     return compare_prefix_sums(descending_prefix_sums(x), descending_prefix_sums(y))
 
 
-@dataclass(frozen=True)
-class ExtendedSequence:
+class _ExtendedFields(NamedTuple):
+    finite_entries: tuple[Fraction, ...]
+    minus_inf_count: int = 0
+
+
+class ExtendedSequence(_ExtendedFields):
     """Finite descending prefix of an infinite sequence over R ∪ {-inf}.
 
     finite_entries are the largest entries in descending order;
@@ -148,15 +150,18 @@ class ExtendedSequence:
     (for negated minimal-degree comparisons, a balanced object's +inf entry).
     """
 
-    finite_entries: tuple[Fraction, ...]
-    minus_inf_count: int = 0
+    __slots__ = ()
 
-    def __init__(self, finite_entries: Sequence[Fraction], minus_inf_count: int = 0):
+    def __new__(cls, finite_entries: Sequence[Fraction], minus_inf_count: int = 0):
         if minus_inf_count < 0:
             raise ValueError("minus_inf_count must be >= 0")
         entries = tuple(sorted((Fraction(x) for x in finite_entries), reverse=True))
-        object.__setattr__(self, "finite_entries", entries)
-        object.__setattr__(self, "minus_inf_count", minus_inf_count)
+        return super().__new__(cls, entries, minus_inf_count)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the checks above, so `_replace` keeps them too."""
+        return cls(*iterable)
 
 
 class ExtendedVerdict(Enum):
@@ -166,8 +171,7 @@ class ExtendedVerdict(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class ExtendedComparison:
+class ExtendedComparison(NamedTuple):
     verdict: ExtendedVerdict
     horizon: int
     witnessed_k0: int | None = None
@@ -221,8 +225,7 @@ def extended_weak_majorizes(
 # report assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImbalanceReport:
+class ImbalanceReport(NamedTuple):
     """All five statistics plus the sequences used for majorization."""
 
     ui_v: Fraction

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class EdgeListParseError(ValueError):
@@ -129,8 +128,7 @@ def _loss_masks(t: Tournament) -> list[int]:
     return [full ^ w ^ 1 << i for i, w in enumerate(t.win)]
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-vertex win/loss counts; e_min[i] = min(e_in[i], e_out[i])."""
 
     e_in: tuple[int, ...]

@@ -1,7 +1,7 @@
 """Exhaustive desk-scale verification of the maximal-imbalance theorem and the
 even-order/structural lemmas, over all tournaments of the requested size.
 
-Reports are plain dataclasses with deterministic JSON and Markdown renderings;
+Reports are NamedTuples with deterministic JSON and Markdown renderings;
 two runs produce byte-identical output. Every suite runs over isomorphism
 classes from one class source and first asserts that their orbit weights
 n!/|Aut T| add up to the labeled games the source covers. The even suite alone
@@ -21,10 +21,9 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .construct import imbalanced_rps
 from .equilibrium import _playable_classes, _signed_kernel, packed_payoff_rows
@@ -140,8 +139,7 @@ def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
 # per-class statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ClassStats:
+class _ClassStats(NamedTuple):
     packed: int
     wins_prefix: tuple[Fraction, ...]  # descending prefix sums
     ui_v: Fraction
@@ -228,8 +226,7 @@ def _class_sweep(
 # theorem verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StatisticVerdict:
+class StatisticVerdict(NamedTuple):
     name: str
     construction_value: str
     best_competitor_value: str | None
@@ -237,16 +234,14 @@ class StatisticVerdict:
     unique: bool
 
 
-@dataclass(frozen=True)
-class MajorizationTally:
+class MajorizationTally(NamedTuple):
     strict: int
     equal: int
     no: int
     counterexamples: tuple[tuple[int, str], ...]  # (canonical form, sequence)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     n: int
     objects: int
     class_count: int
@@ -475,8 +470,7 @@ def verify_theorem(
 # even-order unplayability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvenOrderResult:
+class EvenOrderResult(NamedTuple):
     n: int
     tournament_count: int
     all_polytopes_empty: bool
@@ -485,8 +479,7 @@ class EvenOrderResult:
     failures: tuple[int, ...]  # packed masks
 
 
-@dataclass(frozen=True)
-class EvenUnplayabilityReport:
+class EvenUnplayabilityReport(NamedTuple):
     max_n: int
     results: tuple[EvenOrderResult, ...]
 
@@ -600,8 +593,7 @@ def verify_even_unplayable(
 # structural lemmas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StructuralLemmasReport:
+class StructuralLemmasReport(NamedTuple):
     n: int
     class_count: int
     playable_count: int

@@ -144,9 +144,10 @@ def test_criterion_5_three_way_playability_agreement():
         bad = 0
         for t in enumerate_tournaments(m, up_to_iso=True):
             rep = classify_playability(t)
-            kernel_point = rep.polytope.kernel_dim == 1 and (
-                rep.polytope.is_single_point
-                and all(x > 0 for x in rep.polytope.vertices[0])
+            polytope = equilibrium_polytope(payoff_matrix(t))
+            kernel_point = polytope.kernel_dim == 1 and (
+                polytope.is_single_point
+                and all(x > 0 for x in polytope.vertices[0])
             )
             classified = rep.playability is Playability.STRONGLY_PLAYABLE
             if not (rep.is_strong == kernel_point == classified):

@@ -802,6 +802,22 @@ def test_serial_runs_import_neither_mpmath_nor_multiprocessing(tmp_path):
     assert report == verify.verify_theorem(3).to_json_dict()
 
 
+def test_import_loads_no_dataclass_machinery():
+    # the records are NamedTuples: importing the package and its CLI must pull
+    # in neither dataclasses nor inspect (-S keeps site hooks out of the check)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, tourneylab, tourneylab.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "tourneylab.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_budget_env_var(tmp_path):
     path = tmp_path / "reports"
     proc = subprocess.run(

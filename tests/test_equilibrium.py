@@ -158,8 +158,9 @@ def test_playable_implies_strong_up_to_7_objects():
             if rep.playability is Playability.STRONGLY_PLAYABLE:
                 assert rep.is_strong
             # single strictly positive kernel point <=> the classification
-            single_positive = rep.polytope.is_single_point and all(
-                x > 0 for x in rep.polytope.vertices[0]
+            polytope = equilibrium_polytope(payoff_matrix(t))
+            single_positive = polytope.is_single_point and all(
+                x > 0 for x in polytope.vertices[0]
             )
             assert single_positive == (
                 rep.playability is Playability.STRONGLY_PLAYABLE

@@ -241,6 +241,13 @@ def test_extended_errors():
         extended_weak_majorizes(x, x, after=1)
     with pytest.raises(ValueError):
         ExtendedSequence([], minus_inf_count=-1)
+    # the constructor sorts descending into Fractions, and _replace goes through it
+    seq = ExtendedSequence([1, F(5, 2), -3], minus_inf_count=2)
+    assert seq.finite_entries == (F(5, 2), F(1), F(-3)) and seq.minus_inf_count == 2
+    assert all(type(x) is F for x in seq.finite_entries)
+    assert seq._replace(finite_entries=[0, 2]).finite_entries == (F(2), F(0))
+    with pytest.raises(ValueError):
+        seq._replace(minus_inf_count=-1)
 
 
 def test_nrps_negated_e_min_prefix_matches_spec_convention():

@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import os
 import random
-from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,18 +12,26 @@ from hypothesis import strategies as st
 
 from tourneylab import (
     BudgetExceededError,
+    ExtendedSequence,
     GuardBandError,
     Majorization,
+    Playability,
     blow_up,
     blow_up_equilibrium,
     canonical_form,
+    classify_playability,
     compare_entropies,
+    equilibrium_polytope,
+    extended_weak_majorizes,
+    from_edge_list,
+    imbalance_report,
     imbalanced_equilibrium_closed_form,
     imbalanced_rps,
     is_strong,
     k_minimizing_check,
     landau_bound_check,
     majorizes,
+    payoff_matrix,
     verify_even_unplayable,
     verify_structural_lemmas,
     verify_theorem,
@@ -102,7 +109,7 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
     # playable classes whose wins or equilibria strictly majorize is a violation
     class_stats = verify._class_stats
     monkeypatch.setattr(
-        verify, "_class_stats", lambda args: replace(class_stats(args), ui_v=F(0), ties=F(0))
+        verify, "_class_stats", lambda args: class_stats(args)._replace(ui_v=F(0), ties=F(0))
     )
     playable = []
     for packed in _iso_classes(7):
@@ -137,8 +144,8 @@ def test_class_stats_match_the_fraction_statistics(objects):
             equilibrium_prefix=descending_prefix_sums(eq),
         )
         got = verify._class_stats((objects, packed))
-        for field in fields(expected):
-            assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name))
+        for name in expected._fields:
+            assert repr(getattr(got, name)) == repr(getattr(expected, name))
 
 
 def test_theorem_builds_no_class_of_its_own_size(monkeypatch):
@@ -434,6 +441,39 @@ def test_reports_render():
     # all reports JSON-serialize
     for r in (rep, even, struct):
         json.dumps(r.to_json_dict())
+
+
+def test_every_record_is_immutable():
+    # one record of each type, as the library builds it: assigning a field or a
+    # new attribute raises AttributeError
+    playable = imbalanced_rps(2)
+    unplayable = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+    reports = classify_playability(playable), classify_playability(unplayable)
+    assert [r.playability for r in reports] == [Playability.STRONGLY_PLAYABLE, Playability.UNPLAYABLE]
+    seq = ExtendedSequence([F(1)])
+    theorem = verify_theorem(2)
+    even = verify_even_unplayable(2)
+    records = [
+        degree_profile(playable),
+        *reports,
+        equilibrium_polytope(payoff_matrix(playable)),
+        uniform_profile(playable),
+        seq,
+        extended_weak_majorizes(seq, seq),
+        imbalance_report(playable),
+        verify._class_stats((5, canonical_form(playable))),
+        theorem,
+        theorem.statistics[0],
+        theorem.e_in_majorization,
+        even,
+        even.results[0],
+        verify_structural_lemmas(3),
+    ]
+    assert len({type(r) for r in records}) == 14
+    for record in records:
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_compare_entropies_identical_and_separated():
