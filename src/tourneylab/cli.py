@@ -42,6 +42,7 @@ from .tournament import (
 )
 from .verify import (
     BudgetExceededError,
+    GuardBandError,
     _even_bounds,
     _structural_bounds,
     _theorem_bounds,
@@ -380,7 +381,7 @@ def _cmd_verify(args) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, GuardBandError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_OK if all(report.ok for _, report in runs) else EXIT_ERROR

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .rational import RationalMatrix, Vector
+from .rational import Vector
 from .tournament import Tournament
 
 # Object order for the imbalanced game: r1, p1, r2, p2, ..., rn, pn, s.
@@ -89,32 +89,6 @@ def blow_up(g1: Tournament, glue: int | str, g2: Tournament) -> Tournament:
         f"{glue_label}.{name}" for name in g2.labels
     ]
     return Tournament._from_masks(len(win), win, labels)
-
-
-def blow_up_matrix(
-    a1: RationalMatrix, l: int, m: int, a2: RationalMatrix
-) -> RationalMatrix:
-    """General payoff-level blow-up gluing row strategy l and column strategy m.
-
-    Block layout: g1 without row l / column m; the top-right block repeats
-    g1's column m (row l removed); the bottom-left repeats g1's row l
-    (column m removed); the bottom-right is g2. With l = m and skew inputs the
-    result is skew.
-    """
-    if not (0 <= l < a1.rows and 0 <= m < a1.cols):
-        raise ValueError("glue strategies out of range")
-    row_keep = [i for i in range(a1.rows) if i != l]
-    col_keep = [j for j in range(a1.cols) if j != m]
-    top = [
-        [a1.entries[i][j] for j in col_keep]
-        + [a1.entries[i][m]] * a2.cols
-        for i in row_keep
-    ]
-    bottom = [
-        [a1.entries[l][j] for j in col_keep] + list(a2.entries[i])
-        for i in range(a2.rows)
-    ]
-    return RationalMatrix(top + bottom)
 
 
 def blow_up_equilibrium(

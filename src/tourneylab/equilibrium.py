@@ -86,7 +86,7 @@ def tournament_equilibrium(win: Sequence[int]) -> Vector | None:
     return tuple(Fraction(v, total) for v in x)
 
 
-def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _playable_classes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted canonical forms, |Aut T| of each) of the playable classes of odd
     n >= 3 objects, by switching (Babai & Cameron 2000), in one pass over the
     (n-2)-classes.
@@ -103,11 +103,10 @@ def _playable_classes(n: int, _check=None) -> tuple[tuple[int, ...], tuple[int, 
     reached: switch its extremal vertex into a source (|x| stays), delete it,
     and delete the extremal min-wins vertex of what is left. That leaves an
     (n-2)-class whose form extends back, and the source added and switched
-    gives T. `_check` is polled per parent, for a time budget."""
+    gives T."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"playable classes are built for odd n >= 3, got {n}")
-    parents, phase = _iso_classes(n - 2, _check), f"playable classes at {n} objects"
-    return _extended_classes(parents, n - 2, _switched_extensions, phase, _check)
+    return _extended_classes(_iso_classes(n - 2), n - 2, _switched_extensions)
 
 
 def _switched_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
@@ -301,18 +300,3 @@ def find_dominated(
         )
     return [(i, w) for i, w in mixed if w is not None]
 
-
-def worst_case_equilibrium(
-    P: EquilibriumPolytope, criterion: str = "min_ties"
-) -> tuple[tuple, bool]:
-    """Distribution used for imbalance statistics, with an exactness flag.
-
-    min_ties would minimize sum(v**2) and max_entropy maximize -sum(v ln v)
-    over the polytope; a tournament game's polytope is one point, so both
-    return it, exactly.
-    """
-    if criterion not in ("min_ties", "max_entropy"):
-        raise ValueError("criterion must be 'min_ties' or 'max_entropy'")
-    if P.is_empty:
-        raise ValueError("empty polytope has no equilibrium")
-    return P.vertices[0], True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import defaultdict
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -384,16 +385,13 @@ _ISO_CACHE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {1: ((0,), (1,)
 
 
 def _extended_classes(
-    parents: Sequence[int], size: int, extensions: Callable, phase: str, _check=None
+    parents: Sequence[int], size: int, extensions: Callable
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sorted canonical forms, |Aut T| of each) of the games that `extensions`
     makes from the win masks of each parent form of `size` objects, |Aut T|
-    from the search of the first extension that reaches each form. `_check` is
-    polled with each parent's progress under `phase`, for a time budget."""
+    from the search of the first extension that reaches each form."""
     seen: dict[int, int] = {}
-    for done, packed in enumerate(parents):
-        if _check is not None:
-            _check(f"{phase}: {done}/{len(parents)} parent classes")
+    for packed in parents:
         for ext in extensions(tournament_from_canonical(size, packed).win):
             seen.setdefault(*_canonical_search(ext))
     out = tuple(sorted(seen))
@@ -420,22 +418,88 @@ def _min_wins_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
                 yield ext
 
 
-def _iso_classes(n: int, _check=None) -> tuple[int, ...]:
+def _iso_classes(n: int) -> tuple[int, ...]:
     """Sorted canonical forms of all isomorphism classes, by min-wins vertex
     extension of the (n-1)-classes; cached once complete. n = 9 is allowed as
     the parents of an 11-object playable stream; public enumeration stops at 8."""
     if n > 9:
         raise ValueError("isomorphism classes are built for n <= 9 only")
     if n not in _ISO_CACHE:
-        parents, phase = _iso_classes(n - 1, _check), f"class build at {n} objects"
-        _ISO_CACHE[n] = _extended_classes(parents, n - 1, _min_wins_extensions, phase, _check)
+        _ISO_CACHE[n] = _extended_classes(_iso_classes(n - 1), n - 1, _min_wins_extensions)
     return _ISO_CACHE[n][0]
 
 
-def _automorphism_counts(n: int, _check=None) -> tuple[int, ...]:
+def _automorphism_counts(n: int) -> tuple[int, ...]:
     """|Aut T| of each class of _iso_classes(n), in the same order."""
-    _iso_classes(n, _check)
+    _iso_classes(n)
     return _ISO_CACHE[n][1]
+
+
+# The shipped class lists: all_n{2,4,6,8}.bin and playable_n{3,5,7,9}.bin,
+# written by _class_list_bytes from _iso_classes and _playable_classes.
+CLASS_DIR = os.path.join(os.path.dirname(__file__), "classes")
+
+
+def _class_list_bytes(forms: Sequence[int], auts: Sequence[int]) -> bytes:
+    """A class list file: the count, the sorted forms as deltas (the first from
+    0), then the count and the (index, |Aut T|) pairs of the classes with
+    |Aut T| != 1; every number an unsigned LEB128 varint."""
+    sparse = [(k, a) for k, a in enumerate(auts) if a != 1]
+    deltas = (b - a for a, b in zip((0, *forms), forms))
+    out = bytearray()
+    for v in (len(forms), *deltas, len(sparse), *itertools.chain(*sparse)):
+        while v > 127:
+            out.append(v & 127 | 128)
+            v >>= 7
+        out.append(v)
+    return bytes(out)
+
+
+def _read_class_list(path: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(forms, |Aut T| of each) from a file that _class_list_bytes wrote.
+    Raises ValueError unless the file parses with no byte missing or left over
+    and its forms strictly increase."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise ValueError(f"cannot be read: {exc.strerror}") from None
+    numbers, v, shift = [], 0, 0
+    for b in data:
+        v |= (b & 127) << shift
+        if b & 128:
+            shift += 7
+        else:
+            numbers.append(v)
+            v = shift = 0
+    count = numbers[0] if numbers else 0
+    end = count + 2 + 2 * numbers[count + 1] if len(numbers) > count + 1 else None
+    if shift or end is None or len(numbers) < end:
+        raise ValueError("truncated: bytes are missing at the end")
+    if len(numbers) > end:
+        raise ValueError("trailing bytes after the last entry")
+    deltas = numbers[1 : count + 1]
+    if 0 in deltas[1:]:
+        raise ValueError(f"forms not strictly increasing at entry {deltas.index(0, 1)}")
+    auts = [1] * count
+    last = -1
+    for k, a in zip(numbers[count + 2 :: 2], numbers[count + 3 :: 2]):
+        if not last < k < count or a < 2:
+            raise ValueError(f"bad |Aut T| entry ({k}, {a})")
+        auts[k], last = a, k
+    return tuple(itertools.accumulate(deltas)), tuple(auts)
+
+
+def _listed_class(n: int, packed: int, aut: int) -> Tournament:
+    """The game of one class-list entry, after `_canonical_search` gives back
+    its form and its stored |Aut T|; raises ValueError otherwise."""
+    t = tournament_from_canonical(n, packed)
+    form, found = _canonical_search(t.win)
+    if form != packed:
+        raise ValueError(f"entry {packed} is not a canonical form (its class is {form})")
+    if found != aut:
+        raise ValueError(f"class {packed} has |Aut T| = {found}, not the stored {aut}")
+    return t
 
 
 def _class_count(n: int) -> int:

@@ -3,15 +3,18 @@ even-order/structural lemmas, over all tournaments of the requested size.
 
 Reports are NamedTuples with deterministic JSON and Markdown renderings;
 two runs produce byte-identical output. Every suite runs over isomorphism
-classes from one class source and first asserts that their orbit weights
-n!/|Aut T| add up to the labeled games the source covers. The even suite alone
-takes every class, which covers all 2^C(n,2) labeled games. One Pfaffian
+classes read from a shipped class list (`tournament.CLASS_DIR`) and re-checks
+the list as it goes: the forms strictly increase, each one is canonical with
+its stored |Aut T|, and their orbit weights n!/|Aut T| add up to the labeled
+games the list covers, which proves it complete. The even suite alone takes
+every class, which covers all 2^C(n,2) labeled games. One Pfaffian
 elimination (`equilibrium._signed_kernel`, exact by Knuth, Electron. J. Combin.
 3(2), 1996, R5) gives each class's integer kernel, asserting that every even
 sub-tournament has an odd Pfaffian (the even suite checks this apart). The
-other suites take only the playable classes (`equilibrium._playable_classes`:
-the (n-2)-classes extended, given a source and switched): one labeled playable
-game per switching class, 2^C(n-1,2) in all; other counts come from formulas."""
+other suites take only the playable classes, each checked one-signed: one
+labeled playable game per switching class, 2^C(n-1,2) in all. The lists are
+generated by `tournament._iso_classes` and `equilibrium._playable_classes`;
+other counts come from formulas."""
 
 from __future__ import annotations
 
@@ -25,21 +28,22 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
+from . import tournament
 from .construct import imbalanced_rps
-from .equilibrium import _playable_classes, _signed_kernel, packed_payoff_rows
-from .equilibrium import tournament_equilibrium
+from .equilibrium import _signed_kernel, packed_payoff_rows, tournament_equilibrium
 from .imbalance import Majorization, compare_prefix_sums, nash_entropy
 from .rational import Vector, _bareiss_echelon, _pfaffian_expand
 from .tournament import (
+    Tournament,
     canonical_form,
     is_strong,
     landau_bound_check,
     tournament_from_canonical,
-    _automorphism_counts,
     _class_count,
-    _iso_classes,
     _k_minimizing_sweep,
+    _listed_class,
     _orbit_masks,
+    _read_class_list,
     _strong_count,
 )
 
@@ -149,16 +153,26 @@ class _ClassStats(NamedTuple):
     equilibrium_prefix: tuple[Fraction, ...]
 
 
-def _class_stats(args: tuple[int, int]) -> _ClassStats:
-    """Statistics of one playable class, from its integer kernel x (the
-    equilibrium is x / sum(x)) and its win counts w: payoffs (2w - n + 1)/(n - 1)."""
-    objects, packed = args
-    win = tournament_from_canonical(objects, packed).win
-    x = _signed_kernel(win)
-    assert min(x) > 0 or max(x) < 0, f"class {packed} of {objects} objects is not playable"
-    x = sorted(map(abs, x), reverse=True)
+def _playable_kernel(args: tuple[int, int, int]) -> tuple[Tournament, list[int]]:
+    """(game, |kernel entries|) of one entry of a playable class list, after
+    `_listed_class` re-checks its form and |Aut T|; raises ValueError unless the
+    integer kernel is one-signed, that is, unless the class is playable."""
+    t = _listed_class(*args)
+    x = _signed_kernel(t.win)
+    if not (min(x) > 0 or max(x) < 0):
+        raise ValueError(f"class {args[1]} is not playable: its kernel is not one-signed")
+    return t, [abs(v) for v in x]
+
+
+def _class_stats(args: tuple[int, int, int]) -> _ClassStats:
+    """Statistics of one playable class (objects, form, |Aut T|), from its
+    integer kernel x (the equilibrium is x / sum(x)) and its win counts w:
+    payoffs (2w - n + 1)/(n - 1)."""
+    objects, packed, _ = args
+    t, x = _playable_kernel(args)
+    x.sort(reverse=True)
     total = sum(x)
-    wins = sorted((w.bit_count() for w in win), reverse=True)
+    wins = sorted((w.bit_count() for w in t.win), reverse=True)
     return _ClassStats(
         packed,
         wins_prefix=tuple(map(Fraction, itertools.accumulate(wins))),
@@ -170,54 +184,50 @@ def _class_stats(args: tuple[int, int]) -> _ClassStats:
     )
 
 
-# A class source maps (n, budget poll) to (sorted canonical forms, |Aut T| of
-# each, the number of labeled games their orbits must cover).
-_Classes = tuple[tuple[int, ...], tuple[int, ...], int]
-
-
-def _every_class(n: int, check: Callable) -> _Classes:
-    """All n-object classes, covering all 2^C(n,2) labeled games."""
-    return _iso_classes(n, check), _automorphism_counts(n, check), 1 << (n * (n - 1) // 2)
-
-
-def _playable_only(n: int, check: Callable) -> _Classes:
-    """The playable classes of odd n objects: each switching class of 2^(n-1)
-    labeled games holds one playable game, so they cover 2^C(n-1,2)."""
-    return *_playable_classes(n, check), 1 << ((n - 1) * (n - 2) // 2)
-
-
 def _class_sweep(
     sizes: Sequence[int],
-    source: Callable[[int, Callable], _Classes],
+    kind: str,
     fn: Callable,
     jobs: int,
     deadline: _Deadline,
     phase: str,
 ) -> list[tuple[tuple[int, ...], list]]:
-    """(classes, [fn((n, c)) for c in classes]) for each n in `sizes`, the
-    classes from `source`, over one pool of `jobs` workers. Raises unless the
-    orbit weights n!/|Aut T| add up to the labeled games the source covers, so
-    a run never reports on an incomplete or wrong class set; the budget is
-    polled every 64 classes and names `phase`."""
+    """(classes, [fn((n, c, |Aut T| of c)) for c in classes]) for each n in
+    `sizes`, over one pool of `jobs` workers, the classes read from the list
+    `{kind}_n{n}.bin` in `tournament.CLASS_DIR`: kind "all" covers all 2^C(n,2)
+    labeled games; kind "playable" (odd n) covers 2^C(n-1,2), one playable game
+    per switching class of 2^(n-1). The forms must strictly increase, an "all"
+    list must hold Davis's count, the orbit weights n!/|Aut T| must add up to
+    the games covered, and `fn` re-runs each class's canonical search against
+    its stored |Aut T|. Distinct classes whose weights reach the total are all
+    of them, so a run never reports on a wrong list: any failure raises
+    ValueError naming the file. The budget is polled before each list and every
+    64 classes, and names `phase`."""
     out = []
     if jobs > 1:
         from multiprocessing import Pool  # only parallel runs pay for the import
     with Pool(processes=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         for n in sizes:
-            classes, auts, total = source(n, deadline.check)
-            weight = sum(math.factorial(n) // a for a in auts)
-            if weight != total:
-                raise RuntimeError(
-                    f"class enumeration at {n} objects is incomplete: orbit weights "
-                    f"sum to {weight}, not {total}"
-                )
-            items = [(n, c) for c in classes]
-            mapped = pool.imap(fn, items, chunksize=32) if pool else map(fn, items)
-            results = []
-            for k, res in enumerate(mapped):
-                if k % 64 == 0:
-                    deadline.check(f"{phase} at {n} objects: {k}/{len(items)} classes")
-                results.append(res)
+            name = f"{kind}_n{n}.bin"
+            deadline.check(f"loading {name}")
+            path = os.path.join(tournament.CLASS_DIR, name)
+            try:
+                classes, auts = _read_class_list(path)
+                if kind == "all" and len(classes) != _class_count(n):
+                    raise ValueError(f"holds {len(classes)} classes, not Davis's {_class_count(n)}")
+                total = 1 << ((n - 1) * (n - 2) // 2 if kind == "playable" else n * (n - 1) // 2)
+                weight = sum(math.factorial(n) // a for a in auts)
+                if weight != total:
+                    raise ValueError(f"orbit weights n!/|Aut T| sum to {weight}, not {total}")
+                items = [(n, c, a) for c, a in zip(classes, auts)]
+                mapped = pool.imap(fn, items, chunksize=32) if pool else map(fn, items)
+                results = []
+                for k, res in enumerate(mapped):
+                    if k % 64 == 0:
+                        deadline.check(f"{phase} at {n} objects: {k}/{len(items)} classes")
+                    results.append(res)
+            except ValueError as exc:
+                raise ValueError(f"class list {path}: {exc}") from None
             out.append((classes, results))
     return out
 
@@ -382,7 +392,7 @@ def verify_theorem(
     payoff variance and of expected ties, (b) maximum score-entropy and
     minimum equilibrium entropy, (c)/(d) strict majorization of the
     construction's win and equilibrium sequences. Only the playable classes
-    are built; the count of all classes comes from Davis's formula. n <= 4
+    are read; the count of all classes comes from Davis's formula. n <= 4
     (9 objects), subject to the budget.
     """
     _theorem_bounds(n)
@@ -390,7 +400,7 @@ def verify_theorem(
     deadline = _Deadline(budget_secs)
     objects = 2 * n + 1
     [(_, playable)] = _class_sweep(
-        [objects], _playable_only, _class_stats, jobs, deadline, "per-class statistics"
+        [objects], "playable", _class_stats, jobs, deadline, "per-class statistics"
     )
     cons_canon = canonical_form(imbalanced_rps(n))
     cons = next(s for s in playable if s.packed == cons_canon)
@@ -543,8 +553,9 @@ def _even_checks(rows: list[list[int]]) -> tuple[bool, bool, bool]:
     return full, _is_odd_square(sign * a[-1][-1] if full else 0), pf % 2 == 1
 
 
-def _even_class(args: tuple[int, int]) -> tuple[bool, bool, bool]:
-    n, packed = args
+def _even_class(args: tuple[int, int, int]) -> tuple[bool, bool, bool]:
+    n, packed, _ = args
+    _listed_class(*args)
     return _even_checks(packed_payoff_rows(n, packed))
 
 
@@ -573,7 +584,7 @@ def verify_even_unplayable(
     sizes = range(2, max_n + 1, 2)
     results = []
     for n, (classes, checks) in zip(
-        sizes, _class_sweep(sizes, _every_class, _even_class, jobs, deadline, "even sweep")
+        sizes, _class_sweep(sizes, "all", _even_class, jobs, deadline, "even sweep")
     ):
         failed = [(c, flags) for c, flags in zip(classes, checks) if not all(flags)]
         results.append(
@@ -656,15 +667,13 @@ class StructuralLemmasReport(NamedTuple):
         ) + "\n"
 
 
-def _structural_stats(args: tuple[int, int]) -> tuple[int, bool, bool, Fraction]:
+def _structural_stats(args: tuple[int, int, int]) -> tuple[int, bool, bool, bool]:
     """(packed, degree-prefix bounds hold, every k-minimizing condition holds,
-    largest equilibrium probability) of one playable class, which must be strong."""
-    objects, packed = args
-    t = tournament_from_canonical(objects, packed)
-    eq = tournament_equilibrium(t.win)
-    assert eq is not None and is_strong(t), f"class {packed} is not playable and strong"
-    kmin_all = all(_k_minimizing_sweep(t))
-    return packed, landau_bound_check(t), kmin_all, max(eq)
+    no equilibrium probability above 1/3) of one playable class, which must be
+    strong. The largest probability is max|x| / sum|x| for the integer kernel x."""
+    t, x = _playable_kernel(args)
+    assert is_strong(t), f"playable class {args[1]} is not strong"
+    return args[1], landau_bound_check(t), all(_k_minimizing_sweep(t)), 3 * max(x) <= sum(x)
 
 
 def _strong_unplayable_examples(n: int, count: int) -> tuple[int, ...]:
@@ -696,13 +705,13 @@ def verify_structural_lemmas(
 ) -> StructuralLemmasReport:
     """Playable classes must meet the degree-prefix bounds, every k-minimizing
     condition, and the 1/3 probability cap; classes failing the k-minimizing
-    condition must be unplayable. Only the playable classes are built. Odd
+    condition must be unplayable. Only the playable classes are read. Odd
     3 <= n <= 9, subject to the budget."""
     _structural_bounds(n)
     jobs = _worker_count(jobs)
     deadline = _Deadline(budget_secs)
     [(_, rows)] = _class_sweep(
-        [n], _playable_only, _structural_stats, jobs, deadline, "structural checks"
+        [n], "playable", _structural_stats, jobs, deadline, "structural checks"
     )
     strong_count = _strong_count(n)
     unplayable = strong_count - len(rows)  # every playable game is strong
@@ -715,5 +724,5 @@ def verify_structural_lemmas(
         strong_but_unplayable_examples=_strong_unplayable_examples(n, min(5, unplayable)),
         landau_failures=tuple(c for c, landau, _, _ in rows if not landau),
         k_minimizing_failures=tuple(c for c, _, kmin_all, _ in rows if not kmin_all),
-        max_probability_failures=tuple(c for c, _, _, top in rows if top > Fraction(1, 3)),
+        max_probability_failures=tuple(c for c, _, _, capped in rows if not capped),
     )

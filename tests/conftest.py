@@ -1,6 +1,9 @@
+import shutil
+from pathlib import Path
+
 import pytest
 
-from tourneylab import Tournament, from_edge_list
+from tourneylab import Tournament, from_edge_list, tournament
 
 
 @pytest.fixture
@@ -40,3 +43,18 @@ def strong_unplayable5() -> Tournament:
         5,
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 0)],
     )
+
+
+@pytest.fixture
+def class_dir(tmp_path, monkeypatch) -> Path:
+    """A copy of the shipped class lists, which the suites read instead."""
+    copy = tmp_path / "classes"
+    shutil.copytree(tournament.CLASS_DIR, copy)
+    monkeypatch.setattr(tournament, "CLASS_DIR", str(copy))
+    return copy
+
+
+def rewrite_class_list(path: Path, edit) -> None:
+    """Store edit(forms, auts), two lists, as the class list at `path`."""
+    forms, auts = tournament._read_class_list(str(path))
+    path.write_bytes(tournament._class_list_bytes(*edit(list(forms), list(auts))))

@@ -16,6 +16,7 @@ from tourneylab import canonical_form, format_edge_list, imbalanced_rps, parse_e
 from tourneylab import cli, tournament, verify
 from tourneylab.construct import classic_cycle
 from tourneylab.cli import _jobs_arg, _json_text, main
+from conftest import rewrite_class_list
 
 WELL_EDGES = """\
 4
@@ -587,41 +588,38 @@ def test_verify_budget_exceeded_exit_3(tmp_path, capsys):
     assert code == 3 and "budget exceeded" in err
 
 
-def test_verify_budget_names_class_build_phase(tmp_path, capsys, monkeypatch):
-    # the 7-object theorem run builds the 5-object classes to extend; with the
-    # 4-object classes cached, the first 5-object parent finds the budget spent
-    tournament._iso_classes(4)
-    cached = {n: tournament._ISO_CACHE[n] for n in range(1, 5)}
-    monkeypatch.setattr(tournament, "_ISO_CACHE", cached)
-    code, _, err = run_cli(
-        ["verify", "theorem", "--n", "3", "--budget", "0", "--out-dir", str(tmp_path)], capsys
+def test_verify_budget_names_class_build_phase(tmp_path, capsys):
+    # the classes come from the shipped lists, not from a build: with no budget
+    # left, the run stops as it starts to load the 7-object playable list
+    code, out, err = run_cli(
+        ["verify", "theorem", "--n", "3", "--budget", "0", "--out-dir", str(tmp_path / "r")],
+        capsys,
     )
-    assert code == 3
-    assert "budget exceeded: " in err
-    assert "during class build at 5 objects: 0/4 parent classes" in err
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: verification time budget exceeded during loading playable_n7.bin\n"
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(
-    "args, objects, passed, phase",
+    "args, passed, phase",
     [
-        (["theorem", "--n", "3"], 5, 1, "playable classes at 7 objects: 1/12 parent classes"),
-        # one poll per 5-object parent, then the first of the 12 playable classes
-        (["theorem", "--n", "3"], 5, 12, "per-class statistics at 7 objects: 0/12 classes"),
+        # one poll to load the list, then one every 64 classes
+        (["theorem", "--n", "4"], 12, "per-class statistics at 9 objects: 704/792 classes"),
+        (["theorem", "--n", "3"], 1, "per-class statistics at 7 objects: 0/12 classes"),
         # then one poll per distinct (win sequence, variance) of the 12 classes
-        (["theorem", "--n", "3"], 5, 13, "Schur pass over wins at 7 objects: 0/6 groups"),
-        (["theorem", "--n", "3"], 5, 19, "Schur pass over equilibria at 7 objects: 0/10 groups"),
-        # one poll per 5-object parent, then the first of the 12 playable classes
-        (["structural", "--objects", "7"], 5, 12, "structural checks at 7 objects: 0/12 classes"),
-        # one poll each at 2, 4 and 6 objects, then one every 64 classes at 8
-        (["even", "--max-n", "8"], 8, 13, "even sweep at 8 objects: 640/6880 classes"),
+        (["theorem", "--n", "3"], 2, "Schur pass over wins at 7 objects: 0/6 groups"),
+        (["theorem", "--n", "3"], 8, "Schur pass over equilibria at 7 objects: 0/10 groups"),
+        (["structural", "--objects", "7"], 1, "structural checks at 7 objects: 0/12 classes"),
+        # two polls each at 2, 4 and 6 objects, one to load the 8-object list,
+        # then one every 64 classes
+        (["even", "--max-n", "8"], 17, "even sweep at 8 objects: 640/6880 classes"),
     ],
     ids=["theorem", "theorem-statistics", "theorem-schur-wins", "theorem-schur-equilibria",
          "structural", "even"],
 )
-def test_verify_budget_names_per_class_phase(tmp_path, capsys, monkeypatch, args, objects, passed, phase):
-    # the classes are cached, so the class build polls nothing; the clock reads
-    # 0 at the budget's start and its first `passed` polls, then far past it
-    tournament._iso_classes(objects)
+def test_verify_budget_names_per_class_phase(tmp_path, capsys, monkeypatch, args, passed, phase):
+    # the clock reads 0 at the budget's start and its first `passed` polls,
+    # then far past it
     reads = []
 
     def clock():
@@ -633,6 +631,105 @@ def test_verify_budget_names_per_class_phase(tmp_path, capsys, monkeypatch, args
     assert code == 3 and out == ""
     assert err == f"budget exceeded: verification time budget exceeded during {phase}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_guard_band_hit_exit_1(tmp_path, capsys, monkeypatch):
+    # an entropy comparison inside the guard band ends the run with an error
+    # line and no report, not with a traceback
+    def guard_band(x, y):
+        raise verify.GuardBandError("entropy comparison inside the guard band; manual review required")
+
+    monkeypatch.setattr(verify, "compare_entropies", guard_band)
+    out_dir = tmp_path / "reports"
+    code, out, err = run_cli(["verify", "theorem", "--n", "2", "--out-dir", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: entropy comparison inside the guard band; manual review required\n"
+    assert not out_dir.exists()
+
+
+def _resorted(forms, auts):
+    order = sorted(range(len(forms)), key=forms.__getitem__)
+    return [forms[k] for k in order], [auts[k] for k in order]
+
+
+def _swap_two_distinct_auts(forms, auts):
+    # the weights still add up, so only the per-class re-check can tell
+    i = auts.index(1)
+    j = next(k for k, a in enumerate(auts) if a != 1)
+    auts[i], auts[j] = auts[j], auts[i]
+    return forms, auts
+
+
+def _relabeled_form(forms, auts):
+    # one form replaced by another labeling of its class
+    k = auts.index(1)
+    forms[k] = max(tournament._orbit_masks(7, forms[k]))
+    return _resorted(forms, auts)
+
+
+def _unplayable_form(forms, auts):
+    # one playable class replaced by an unplayable class with |Aut T| = 1 too
+    k = auts.index(1)
+    forms[k] = next(
+        c for c, a in zip(tournament._iso_classes(7), tournament._automorphism_counts(7))
+        if a == 1 and verify.tournament_equilibrium(
+            tournament.tournament_from_canonical(7, c).win) is None
+    )
+    return _resorted(forms, auts)
+
+
+def _edit(fn):
+    return lambda path: rewrite_class_list(path, fn)
+
+
+@pytest.mark.parametrize(
+    "args, name, corrupt, check",
+    [
+        (["theorem", "--n", "3"], "playable_n7.bin",
+         _edit(lambda f, a: (f[:3] + f[4:], a[:3] + a[4:])), "orbit weights n!/|Aut T| sum to"),
+        (["theorem", "--n", "3"], "playable_n7.bin",
+         _edit(lambda f, a: (f[:4] + f[3:], a[:4] + a[3:])),
+         "forms not strictly increasing at entry 4"),
+        (["theorem", "--n", "3"], "playable_n7.bin", _edit(_relabeled_form),
+         "is not a canonical form"),
+        (["structural", "--objects", "7"], "playable_n7.bin", _edit(_swap_two_distinct_auts),
+         "has |Aut T| = "),
+        (["structural", "--objects", "7"], "playable_n7.bin", _edit(_unplayable_form),
+         "is not playable: its kernel is not one-signed"),
+        (["even", "--max-n", "6"], "all_n6.bin",
+         _edit(lambda f, a: (f[:-1], a[:-1])), "holds 55 classes, not Davis's 56"),
+        (["even", "--max-n", "6"], "all_n6.bin",
+         lambda path: path.write_bytes(path.read_bytes()[:-1]), "truncated: bytes are missing"),
+        (["theorem", "--n", "3"], "playable_n7.bin",
+         lambda path: path.write_bytes(path.read_bytes() + b"\x00"), "trailing bytes"),
+        (["structural", "--objects", "7"], "playable_n7.bin", Path.unlink,
+         "cannot be read: No such file or directory"),
+    ],
+    ids=["dropped", "duplicated", "non-canonical", "wrong-aut", "unplayable", "all-count",
+         "truncated", "trailing", "missing"],
+)
+def test_verify_refuses_a_corrupt_class_list(tmp_path, capsys, class_dir, args, name, corrupt, check):
+    path = class_dir / name
+    corrupt(path)
+    out_dir = tmp_path / "reports"
+    code, out, err = run_cli(["verify", *args, "--out-dir", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: class list {path}: ") and err.count("\n") == 1
+    assert check in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args", [["theorem", "--n", "3"], ["theorem", "--n", "4"],
+             ["structural", "--objects", "7"], ["structural", "--objects", "9"]]
+)
+def test_verify_reports_identical_across_jobs(tmp_path, capsys, args):
+    for jobs in ("1", "2"):
+        run_cli(["verify", *args, "--jobs", jobs, "--out-dir", str(tmp_path / jobs)], capsys)
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 2
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_verify_even_budget_zero_writes_nothing(tmp_path, capsys):

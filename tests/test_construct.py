@@ -3,11 +3,9 @@ from fractions import Fraction
 import pytest
 
 from tourneylab import (
-    RationalMatrix,
     Tournament,
     blow_up,
     blow_up_equilibrium,
-    blow_up_matrix,
     canonical_form,
     classic_cycle,
     degree_profile,
@@ -157,30 +155,6 @@ def test_blow_up_rejects_colliding_labels():
     point = Tournament(1, [[False]], labels=["x"])
     with pytest.raises(ValueError, match="label 's.x' names more than one object"):
         blow_up(outer, "s", point)
-
-
-def test_blow_up_matrix_matches_tournament_blow_up():
-    three = imbalanced_rps(1)
-    five = imbalanced_rps(2)
-    for outer in (three, five):
-        for glue in range(outer.n):
-            blown_t = blow_up(outer, glue, three)
-            a = blow_up_matrix(payoff_matrix(outer), glue, glue, payoff_matrix(three))
-            assert a == payoff_matrix(blown_t)
-            assert a.is_skew_symmetric()
-
-
-def test_blow_up_matrix_asymmetric_shape():
-    a1 = RationalMatrix([[0, 2], [-2, 0]])
-    a2 = RationalMatrix([[0]])
-    out = blow_up_matrix(a1, 0, 1, a2)
-    # rows: keep row 1 of a1; cols: keep col 0; then the inner 1x1 block
-    assert out.rows == out.cols == 2
-    assert out.entries[0][0] == -2  # a1[1][0]
-    assert out.entries[0][1] == 0  # a1[1][1] replicated column
-    assert out.entries[1][0] == 0  # a1[0][0] replicated row
-    with pytest.raises(ValueError):
-        blow_up_matrix(a1, 5, 0, a2)
 
 
 def test_blow_up_equilibrium_examples():

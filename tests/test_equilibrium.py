@@ -18,7 +18,6 @@ from tourneylab import (
     from_edge_list,
     is_strong,
     payoff_matrix,
-    worst_case_equilibrium,
 )
 from tourneylab import equilibrium, tournament
 from tourneylab.construct import imbalanced_equilibrium_closed_form, imbalanced_rps
@@ -383,36 +382,6 @@ def test_weak_domination_excludes_strong_playability():
         if find_dominated(t, "weak", "pure"):
             rep = classify_playability(t)
             assert rep.playability is not Playability.STRONGLY_PLAYABLE
-
-
-# ---------------------------------------------------------------------------
-# worst-case equilibria
-# ---------------------------------------------------------------------------
-
-def test_worst_case_single_point_both_criteria(classic3):
-    p = equilibrium_polytope(payoff_matrix(classic3))
-    for criterion in ("min_ties", "max_entropy"):
-        v, exact = worst_case_equilibrium(p, criterion)
-        assert v == (F(1, 3), F(1, 3), F(1, 3))
-        assert exact
-    assert sum(x * x for x in p.vertices[0]) == F(1, 3)
-
-
-def test_worst_case_imbalanced5_ties():
-    p = equilibrium_polytope(payoff_matrix(imbalanced_rps(2)))
-    v, exact = worst_case_equilibrium(p, "min_ties")
-    assert exact and sum(x * x for x in v) == F(7, 27)
-
-
-def test_worst_case_errors(classic3):
-    from tourneylab import from_edge_list
-
-    empty = equilibrium_polytope(payoff_matrix(from_edge_list(2, [(0, 1)])))
-    with pytest.raises(ValueError):
-        worst_case_equilibrium(empty, "min_ties")
-    p = equilibrium_polytope(payoff_matrix(classic3))
-    with pytest.raises(ValueError):
-        worst_case_equilibrium(p, "median")
 
 
 # ---------------------------------------------------------------------------

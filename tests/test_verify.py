@@ -36,7 +36,8 @@ from tourneylab import (
     verify_structural_lemmas,
     verify_theorem,
 )
-from tourneylab import tournament, verify
+from conftest import rewrite_class_list
+from tourneylab import equilibrium, tournament, verify
 from tourneylab.equilibrium import (
     _playable_classes,
     packed_payoff_rows,
@@ -130,7 +131,7 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
 def test_class_stats_match_the_fraction_statistics(objects):
     # the integer record equals, field by field and type by type, the one built
     # from the Fraction equilibrium and the uniform payoff profile
-    for packed in _playable_classes(objects)[0]:
+    for packed, aut in zip(*_playable_classes(objects)):
         t = tournament_from_canonical(objects, packed)
         eq = tournament_equilibrium(t.win)
         profile = uniform_profile(t)
@@ -143,18 +144,38 @@ def test_class_stats_match_the_fraction_statistics(objects):
             equilibrium_sorted=tuple(sorted(eq, reverse=True)),
             equilibrium_prefix=descending_prefix_sums(eq),
         )
-        got = verify._class_stats((objects, packed))
+        got = verify._class_stats((objects, packed, aut))
         for name in expected._fields:
             assert repr(getattr(got, name)) == repr(getattr(expected, name))
 
 
-def test_theorem_builds_no_class_of_its_own_size(monkeypatch):
-    # the 7-object run extends the 5-object classes and switches them; neither
-    # the 6- nor the 7-object class build runs
+def forbid_class_builds(monkeypatch):
+    # start from an empty class cache, and fail any class build or playable
+    # stream, wherever it is called from
     monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class build ran")
+
+    for module in (tournament, equilibrium):
+        monkeypatch.setattr(module, "_extended_classes", refuse)
+    for module in (equilibrium, verify):
+        monkeypatch.setattr(module, "_playable_classes", refuse, raising=False)
+
+
+def test_theorem_builds_no_class_of_its_own_size(monkeypatch):
+    # the 7-object run reads the shipped playable list and re-checks each
+    # class: no class of any size is built
+    forbid_class_builds(monkeypatch)
     rep = verify_theorem(3)
     assert (rep.class_count, rep.playable_count) == (456, 12)
-    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5]
+    assert tournament._ISO_CACHE == {1: ((0,), (1,))}
+
+
+def test_even_builds_no_class_of_its_own_size(monkeypatch):
+    forbid_class_builds(monkeypatch)
+    assert verify_even_unplayable(6).ok
+    assert tournament._ISO_CACHE == {1: ((0,), (1,))}
 
 
 def test_theorem_reports_are_deterministic():
@@ -336,13 +357,12 @@ def test_structural_matches_the_full_class_build(n):
 
 
 def test_structural_builds_no_class_of_its_own_size(monkeypatch):
-    # the 7-object run extends and switches the 5-object classes; its counts of
-    # all and of strong classes come from formulas, so neither the 6- nor the
-    # 7-object class build runs
-    monkeypatch.setattr(tournament, "_ISO_CACHE", {1: ((0,), (1,))})
+    # the 7-object run reads the shipped playable list; its counts of all and
+    # of strong classes come from formulas, so no class of any size is built
+    forbid_class_builds(monkeypatch)
     rep = verify_structural_lemmas(7)
     assert (rep.class_count, rep.playable_count, rep.strong_count) == (456, 12, 353)
-    assert sorted(tournament._ISO_CACHE) == [1, 2, 3, 4, 5]
+    assert tournament._ISO_CACHE == {1: ((0,), (1,))}
 
 
 def test_strong_unplayable_scan_stops_at_the_last_mask():
@@ -388,6 +408,16 @@ def test_structural_failure_lists(monkeypatch):
     assert asked == {"landau": set(playable), "kmin": set(playable)}
 
 
+def test_structural_cap_reads_the_integer_kernel(monkeypatch):
+    # the 1/3 cap fails iff 3 max|x| > sum|x|: the 5-object construction,
+    # (1/3, 1/3, 1/9, 1/9, 1/9), sits on the boundary and passes
+    item = (5, *tournament._canonical_search(imbalanced_rps(2).win))
+    assert verify._structural_stats(item)[3]
+    for kernel, capped in (([4, 2, 1, 1, 1], False), ([-3, -3, -1, -1, -1], True)):
+        monkeypatch.setattr(verify, "_signed_kernel", lambda win: kernel)
+        assert verify._structural_stats(item)[3] is capped
+
+
 def test_structural_n3_trivial():
     rep = verify_structural_lemmas(3)
     assert rep.ok and rep.playable_count == 1 and rep.class_count == 2
@@ -411,22 +441,12 @@ def test_structural_validation():
     ],
     ids=["theorem", "structural", "even"],
 )
-def test_class_runs_refuse_an_incomplete_enumeration(monkeypatch, run):
-    # one class's |Aut T| doubled, in the all-class and the playable source:
+def test_class_runs_refuse_an_incomplete_enumeration(class_dir, run):
+    # one class's |Aut T| doubled in the copied all-class and playable lists:
     # its orbit weight halves and the sum falls short
-    real_counts, real_playable = verify._automorphism_counts, verify._playable_classes
-
-    def short(n, _check=None):
-        counts = real_counts(n, _check)
-        return (2 * counts[0],) + counts[1:]
-
-    def short_playable(n, _check=None):
-        forms, counts = real_playable(n, _check)
-        return forms, (2 * counts[0],) + counts[1:]
-
-    monkeypatch.setattr(verify, "_automorphism_counts", short)
-    monkeypatch.setattr(verify, "_playable_classes", short_playable)
-    with pytest.raises(RuntimeError, match="incomplete"):
+    for path in class_dir.iterdir():
+        rewrite_class_list(path, lambda forms, auts: (forms, [2 * auts[0], *auts[1:]]))
+    with pytest.raises(ValueError, match=r"class list .*_n\d\.bin: orbit weights n!/\|Aut T\| sum to"):
         run()
 
 
@@ -461,7 +481,7 @@ def test_every_record_is_immutable():
         seq,
         extended_weak_majorizes(seq, seq),
         imbalance_report(playable),
-        verify._class_stats((5, canonical_form(playable))),
+        verify._class_stats((5, *tournament._canonical_search(playable.win))),
         theorem,
         theorem.statistics[0],
         theorem.e_in_majorization,
