@@ -407,68 +407,78 @@ def _jobs_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# each command's help line, its function, and its parser's add_argument calls
+_COMMANDS = {
+    "analyze": ("analyze an edge list or win-rate CSV", _cmd_analyze, [
+        ("input", dict(help="path to the input file")),
+        ("--format", dict(choices=("auto", "edges", "csv"), default="auto",
+                          help="input format (default: by file extension)")),
+        ("--md", dict(action="store_true", help="emit Markdown instead of JSON")),
+    ]),
+    "generate": ("emit a construction as an edge list", _cmd_generate, [
+        ("kind", dict(choices=("imbalanced", "classic-cycle"))),
+        ("--n", dict(type=int, required=True, help="half-count for imbalanced "
+                     "(2n+1 objects), object count for classic-cycle")),
+        ("--json", dict(action="store_true", help="emit JSON instead of text")),
+    ]),
+    "blowup": ("replace a vertex of one game by another game", _cmd_blowup, [
+        ("outer", dict(help="edge-list file of the outer game")),
+        ("vertex", dict(help="label (or index) of the vertex to replace")),
+        ("inner", dict(help="edge-list file of the inner game")),
+    ]),
+    "verify": ("run the exhaustive verification suites", _cmd_verify, [
+        ("suite", dict(choices=("theorem", "even", "structural", "all"))),
+        ("--n", dict(type=int, default=2, help="half-count for the theorem suite")),
+        ("--objects", dict(type=int, default=5, help="object count for the structural suite")),
+        ("--max-n", dict(type=int, default=6, help="cap for the even suite")),
+        ("--jobs", dict(type=_jobs_arg, default=1,
+                        help="worker processes (at most the CPU count)")),
+        ("--budget", dict(type=float, default=None, help="time budget in seconds "
+                          "(default: the TOURNEYLAB_BUDGET_SECS env var)")),
+        ("--out-dir", dict(default="reports", help="report directory")),
+    ]),
+}
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """A new parser for `command` alone, as `build_parser` gives it."""
+    _, func, arguments = _COMMANDS[command]
+    parser = _Parser(prog=f"tourneylab {command}")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tourneylab",
         description="Exact analysis of rock-paper-scissors games on tournaments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="analyze an edge list or win-rate CSV")
-    p.add_argument("input", help="path to the input file")
-    p.add_argument(
-        "--format",
-        choices=("auto", "edges", "csv"),
-        default="auto",
-        help="input format (default: by file extension)",
-    )
-    p.add_argument("--md", action="store_true", help="emit Markdown instead of JSON")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("generate", help="emit a construction as an edge list")
-    p.add_argument("kind", choices=("imbalanced", "classic-cycle"))
-    p.add_argument(
-        "--n",
-        type=int,
-        required=True,
-        help="half-count for imbalanced (2n+1 objects), object count for classic-cycle",
-    )
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("blowup", help="replace a vertex of one game by another game")
-    p.add_argument("outer", help="edge-list file of the outer game")
-    p.add_argument("vertex", help="label (or index) of the vertex to replace")
-    p.add_argument("inner", help="edge-list file of the inner game")
-    p.set_defaults(func=_cmd_blowup)
-
-    p = sub.add_parser("verify", help="run the exhaustive verification suites")
-    p.add_argument("suite", choices=("theorem", "even", "structural", "all"))
-    p.add_argument("--n", type=int, default=2, help="half-count for the theorem suite")
-    p.add_argument(
-        "--objects", type=int, default=5, help="object count for the structural suite"
-    )
-    p.add_argument("--max-n", type=int, default=6, help="cap for the even suite")
-    p.add_argument(
-        "--jobs", type=_jobs_arg, default=1, help="worker processes (at most the CPU count)"
-    )
-    p.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        help="time budget in seconds (default: the TOURNEYLAB_BUDGET_SECS env var)",
-    )
-    p.add_argument("--out-dir", default="reports", help="report directory")
-    p.set_defaults(func=_cmd_verify)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[_command_parser(name)], add_help=False)
     return parser
 
 
-# one parser per process: building it costs far more than parsing with it
-_shared_parser = cache(build_parser)
+@cache
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """`build_parser()`, or the parser of `command` alone, built once per
+    process: building a parser costs far more than parsing with it."""
+    return _command_parser(command) if command else build_parser()
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    """Run one command, building only its parser. The full parser parses what
+    it would answer otherwise (no or an unknown command, top-level options,
+    arguments the command leaves over), so usage, messages and exit codes stay
+    the full parser's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args.func(args)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

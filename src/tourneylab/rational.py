@@ -154,43 +154,29 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int], in
     return a, piv_cols, sign
 
 
-def _back_substitute(
-    a: list[list[int]], piv_cols: list[int], x: list[Fraction], rhs: bool = False
-) -> list[Fraction]:
-    """Fill the pivot entries of x in place from the echelon rows of `a`, its free
-    entries given; the right-hand side is column len(x) of `a` if `rhs`, else 0."""
-    n_cols = len(x)
-    for r, pc in reversed(list(enumerate(piv_cols))):
-        s = sum(Fraction(a[r][j]) * x[j] for j in range(pc + 1, n_cols) if x[j])
-        x[pc] = (Fraction(a[r][n_cols] if rhs else 0) - s) / a[r][pc]
-    return x
+def kernel_basis(M: RationalMatrix) -> list[Vector]:
+    """Exact null-space basis via Bareiss elimination.
 
-
-def _null_basis(a: list[list[int]], piv_cols: list[int], n_cols: int) -> list[Vector]:
-    """kernel_basis of the first n_cols columns of an echelon form."""
+    One basis vector per free column, each normalized so its first nonzero
+    entry is 1; the empty list means the kernel is trivial. Each is found by
+    back-substitution with its free column 1 and the others 0.
+    """
+    a, _ = _integer_rows(M)
+    a, piv_cols, _ = _bareiss_echelon(a)
     basis: list[Vector] = []
-    for fc in (c for c in range(n_cols) if c not in piv_cols):
-        v = _back_substitute(a, piv_cols, [Fraction(c == fc) for c in range(n_cols)])
+    for fc in (c for c in range(M.cols) if c not in piv_cols):
+        v = [Fraction(c == fc) for c in range(M.cols)]
+        for r, pc in reversed(list(enumerate(piv_cols))):
+            s = sum((a[r][j] * v[j] for j in range(pc + 1, M.cols) if v[j]), Fraction(0))
+            v[pc] = -s / a[r][pc]
         lead = next(x for x in v if x != 0)
         basis.append(tuple(x / lead for x in v))
     return basis
 
 
-def kernel_basis(M: RationalMatrix) -> list[Vector]:
-    """Exact null-space basis via Bareiss elimination.
-
-    One basis vector per free column, each normalized so its first nonzero
-    entry is 1; the empty list means the kernel is trivial.
-    """
-    a, _ = _integer_rows(M)
-    a, piv_cols, _ = _bareiss_echelon(a)
-    return _null_basis(a, piv_cols, M.cols)
-
-
 def rank(M: RationalMatrix) -> int:
-    a, _ = _integer_rows(M)
-    _, piv_cols, _ = _bareiss_echelon(a)
-    return len(piv_cols)
+    """Columns less kernel dimension (rank-nullity)."""
+    return M.cols - len(kernel_basis(M))
 
 
 def determinant(M: RationalMatrix) -> Fraction:
@@ -210,21 +196,17 @@ def solve_affine(
 ) -> tuple[Vector, list[Vector]] | None:
     """Solution set of M x = b as (particular, kernel basis); None if inconsistent.
 
-    One elimination of [M | b] gives both: consistent means the last column
-    holds no pivot, so the pivots are M's own.
+    The kernel of [M | -b] has a vector for its last column exactly when b is
+    in M's column space. Scaled to end in 1, it starts with the solution whose
+    free entries are 0; the other basis vectors end in 0 and start with M's.
     """
     if len(b) != M.rows:
         raise ValueError("dimension mismatch")
-    aug = RationalMatrix(
-        [list(row) + [bv] for row, bv in zip(M.entries, b)]
-    )
-    a, _ = _integer_rows(aug)
-    a, piv_cols, _ = _bareiss_echelon(a)
-    if M.cols in piv_cols:
+    basis = kernel_basis(RationalMatrix([[*row, -v] for row, v in zip(M.entries, b)]))
+    if not basis or basis[-1][-1] == 0:
         return None
-    # row scaling and the extra column leave M's pivots and null space alone
-    x = _back_substitute(a, piv_cols, [Fraction(0)] * M.cols, rhs=True)
-    return tuple(x), _null_basis(a, piv_cols, M.cols)
+    *null, last = basis
+    return tuple(x / last[-1] for x in last[:-1]), [v[:-1] for v in null]
 
 
 def _pfaffian_expand(e: Sequence[Sequence]) -> Fraction | int:

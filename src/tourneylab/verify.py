@@ -26,13 +26,14 @@ import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Callable, NamedTuple, Sequence
 
 from . import tournament
 from .construct import imbalanced_rps
 from .equilibrium import _signed_kernel, packed_payoff_rows, tournament_equilibrium
 from .imbalance import Majorization, compare_prefix_sums, nash_entropy
-from .rational import Vector, _bareiss_echelon, _pfaffian_expand
+from .rational import _bareiss_echelon, _pfaffian_expand
 from .tournament import (
     Tournament,
     canonical_form,
@@ -90,43 +91,49 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _entropy_float(masses: Sequence[Fraction]) -> float:
-    """-sum(m ln m) in floats, the terms added exactly by fsum. A mass that
-    rounds to 0.0 contributes under 1e-300 and is dropped."""
-    return -math.fsum(x * math.log(x) for x in map(float, masses) if x > 0)
+def _entropy_float(masses: Sequence[Fraction | int]) -> float:
+    """-sum(m ln m) in floats over the masses m / sum(masses), each rounded
+    once, the terms added exactly by fsum. A mass that rounds to 0.0
+    contributes under 1e-300 and is dropped."""
+    d = sum(masses)
+    return -math.fsum(x * math.log(x) for x in (m / d for m in masses) if x > 0)
 
 
-def _entropy_bits(masses: Sequence[Fraction]) -> Decimal:
-    """-sum(m ln m) to ENTROPY_DIGITS significant digits."""
+def _entropy_bits(masses: Sequence[Fraction | int]) -> Decimal:
+    """-sum(m ln m) to ENTROPY_DIGITS significant digits over the masses
+    m / sum(masses), each one rounded Decimal division."""
+    d = sum(masses)
     with localcontext() as ctx:
         ctx.prec = ENTROPY_DIGITS
         total = Decimal(0)
         for m in masses:
             if m > 0:
-                x = Decimal(m.numerator) / m.denominator
+                x = Decimal(m.numerator * d.denominator) / (m.denominator * d.numerator)
                 total -= x * x.ln()
         return total
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
-    """Sign of H(x) - H(y) for exact mass lists, with a 1e-30 guard band.
+def compare_entropies(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> int:
+    """Sign of H(x) - H(y) for exact mass lists, each over its own total, with a
+    1e-30 guard band: probabilities, or integer weights w for masses w / sum.
 
-    Identical multisets compare equal exactly. Otherwise both entropies are
-    first taken in floats (`_entropy_float`). For a mass m in [0, 1], rounding
-    m, ln m and their product moves the term m ln m by at most
-    2^-53 * (m + 3|m ln m|) < 2^-52, and fsum adds the terms with one final
-    rounding, so an entropy of n masses is off by at most about n * 2^-52. A
-    float difference beyond FLOAT_ENTROPY_SEPARATION (1e-9, more than both
-    errors together for lists shorter than a million masses) therefore has
-    the exact sign. Only a nearer tie is decided at 256 bits, in `decimal`;
-    distinct multisets whose entropies land inside the guard band there raise
-    GuardBandError rather than returning a silent verdict.
+    Identical multisets of masses compare equal exactly, cross-multiplied.
+    Otherwise both entropies are first taken in floats (`_entropy_float`).
+    For a mass m in [0, 1], rounding m, ln m and their product moves the term
+    m ln m by at most 2^-53 * (m + 3|m ln m|) < 2^-52, and fsum adds the terms
+    with one final rounding, so an entropy of n masses is off by at most about
+    n * 2^-52. A float difference beyond FLOAT_ENTROPY_SEPARATION (1e-9, more
+    than both errors together for lists shorter than a million masses)
+    therefore has the exact sign. Only a nearer tie is decided at 256 bits, in
+    `decimal`; distinct multisets whose entropies land inside the guard band
+    there raise GuardBandError rather than returning a silent verdict.
     """
-    if sorted(x) == sorted(y):
+    dx, dy = sum(x), sum(y)
+    if sorted(m * dy for m in x) == sorted(m * dx for m in y):
         return 0
     rough = _entropy_float(x) - _entropy_float(y)
     if abs(rough) > FLOAT_ENTROPY_SEPARATION:
@@ -145,12 +152,11 @@ def compare_entropies(x: Sequence[Fraction], y: Sequence[Fraction]) -> int:
 
 class _ClassStats(NamedTuple):
     packed: int
-    wins_prefix: tuple[Fraction, ...]  # descending prefix sums
-    ui_v: Fraction
-    ties: Fraction
-    score_masses: tuple[Fraction, ...]
-    equilibrium_sorted: Vector
-    equilibrium_prefix: tuple[Fraction, ...]
+    wins_prefix: tuple[int, ...]  # descending prefix sums, as is kernel_prefix
+    ui_sq: int  # sum((2w - n + 1)^2): ui_variance times (n - 1)^2 n
+    score_counts: tuple[int, ...]  # objects per win count, fewest wins first
+    kernel_prefix: tuple[int, ...]  # of the primitive |kernel|; the last is T
+    kernel_sq: int  # sum(x^2): nash_ties times T^2
 
 
 def _playable_kernel(args: tuple[int, int, int]) -> tuple[Tournament, list[int]]:
@@ -166,22 +172,27 @@ def _playable_kernel(args: tuple[int, int, int]) -> tuple[Tournament, list[int]]
 
 def _class_stats(args: tuple[int, int, int]) -> _ClassStats:
     """Statistics of one playable class (objects, form, |Aut T|), from its
-    integer kernel x (the equilibrium is x / sum(x)) and its win counts w:
-    payoffs (2w - n + 1)/(n - 1)."""
+    integer kernel x (the equilibrium is x / sum(x)), divided by its gcd so
+    that equal equilibria give equal records, and its win counts w: payoffs
+    (2w - n + 1)/(n - 1)."""
     objects, packed, _ = args
     t, x = _playable_kernel(args)
-    x.sort(reverse=True)
-    total = sum(x)
+    g = math.gcd(*x)
+    x = sorted((v // g for v in x), reverse=True)
     wins = sorted((w.bit_count() for w in t.win), reverse=True)
     return _ClassStats(
         packed,
-        wins_prefix=tuple(map(Fraction, itertools.accumulate(wins))),
-        ui_v=Fraction(sum((2 * w - objects + 1) ** 2 for w in wins), (objects - 1) ** 2 * objects),
-        ties=Fraction(sum(v * v for v in x), total * total),
-        score_masses=tuple(Fraction(c, objects) for _, c in sorted(Counter(wins).items())),
-        equilibrium_sorted=tuple(Fraction(v, total) for v in x),
-        equilibrium_prefix=tuple(Fraction(v, total) for v in itertools.accumulate(x)),
+        wins_prefix=tuple(itertools.accumulate(wins)),
+        ui_sq=sum((2 * w - objects + 1) ** 2 for w in wins),
+        score_counts=tuple(c for _, c in sorted(Counter(wins).items())),
+        kernel_prefix=tuple(itertools.accumulate(x)),
+        kernel_sq=sum(v * v for v in x),
     )
+
+
+def _differences(prefix: Sequence[int]) -> list[int]:
+    """The sequence whose prefix sums are `prefix`."""
+    return [b - a for a, b in zip((0, *prefix), prefix)]
 
 
 def _class_sweep(
@@ -289,16 +300,7 @@ class TheoremReport(NamedTuple):
             "construction_canonical": self.construction_canonical,
             "champion_canonical": self.champion_canonical,
             "champion_edges": [list(e) for e in self.champion_edges],
-            "statistics": [
-                {
-                    "name": s.name,
-                    "construction_value": s.construction_value,
-                    "best_competitor_value": s.best_competitor_value,
-                    "attained": s.attained,
-                    "unique": s.unique,
-                }
-                for s in self.statistics
-            ],
+            "statistics": [s._asdict() for s in self.statistics],
             "e_in_majorization": _tally_dict(self.e_in_majorization),
             "equilibrium_majorization": _tally_dict(self.equilibrium_majorization),
             "schur_violations": self.schur_violations,
@@ -357,19 +359,26 @@ def _tally_markdown(name: str, t: MajorizationTally) -> str:
 
 
 def _schur_violations(
-    keys: Sequence[tuple[tuple[Fraction, ...], Fraction]], check: Callable, phase: str
+    keys: Sequence[tuple[tuple[int, ...], int]], check: Callable, phase: str
 ) -> int:
-    """Ordered pairs (a, b) of `keys`, each (descending prefix sums, statistic),
-    where a's sequence strictly majorizes b's but a's statistic is not larger.
-    Equal keys never violate, so each pair of distinct keys is compared once
-    and weighted by how many entries share each; the budget is polled once per
+    """Ordered pairs (a, b) of `keys` where a's sequence strictly majorizes b's
+    but a's statistic is not larger. A key (p, s) stands for the sequence with
+    descending prefix sums p / p[-1] and the statistic s / p[-1]^2, compared
+    cross-multiplied. A strict majorizer has every prefix sum >= and one >, so
+    its sum S of prefix sums is larger: each key is compared only with the keys
+    of smaller S, which come before it once the keys are sorted by S. Equal
+    keys never violate, so each pair of distinct keys is compared once and
+    weighted by how many entries share each; the budget is polled once per
     distinct key."""
-    groups = list(Counter(keys).items())
-    violations = 0
-    for k, ((pa, va), na) in enumerate(groups):
+    groups = [(p, s, c, sum(p), p[-1]) for (p, s), c in Counter(keys).items()]
+    groups.sort(key=cmp_to_key(lambda a, b: a[3] * b[4] - b[3] * a[4]))
+    violations = start = 0
+    for k, (pa, sa, na, suma, ta) in enumerate(groups):
         check(f"{phase}: {k}/{len(groups)} groups")
-        for (pb, vb), nb in groups:
-            if not va > vb and compare_prefix_sums(pa, pb) is Majorization.STRICT:
+        if k and suma * groups[k - 1][4] != groups[k - 1][3] * ta:
+            start = k  # groups[:start] are the keys of smaller S
+        for pb, sb, nb, _, tb in groups[:start]:
+            if sa * tb * tb <= sb * ta * ta and all(x * tb >= y * ta for x, y in zip(pa, pb)):
                 violations += na * nb
     return violations
 
@@ -405,57 +414,61 @@ def verify_theorem(
     cons_canon = canonical_form(imbalanced_rps(n))
     cons = next(s for s in playable if s.packed == cons_canon)
     others = [s for s in playable if s.packed != cons_canon]
+    kernel = {s.packed: _differences(s.kernel_prefix) for s in playable}
 
-    def verdict(name, value, render, best, signs: list[int]) -> StatisticVerdict:
+    def ties_order(a: _ClassStats, b: _ClassStats) -> int:
+        # nash_ties(a) - nash_ties(b) cross-multiplied: kernel_sq / T^2 each
+        return a.kernel_sq * b.kernel_prefix[-1] ** 2 - b.kernel_sq * a.kernel_prefix[-1] ** 2
+
+    def verdict(name, text, best, key, signs: list[int]) -> StatisticVerdict:
         # one sign per competitor, positive where the construction wins
         return StatisticVerdict(
             name,
-            render(value(cons)),
-            render(best(value(s) for s in others)) if others else None,
+            text(cons),
+            text(best(others, key=key)) if others else None,
             attained=all(c >= 0 for c in signs),
             unique=all(c > 0 for c in signs),
         )
 
+    ui_entropy = lambda s: nash_entropy([c / objects for c in s.score_counts])
+    nash_ent = lambda s: nash_entropy([v / s.kernel_prefix[-1] for v in kernel[s.packed]])
     uiv, ties, uie, ne = statistics = (
-        verdict("ui_variance", lambda s: s.ui_v, str, max,
-                [_sign(cons.ui_v - s.ui_v) for s in others]),
-        verdict("nash_ties", lambda s: s.ties, str, max,
-                [_sign(cons.ties - s.ties) for s in others]),
-        verdict("ui_entropy", lambda s: nash_entropy(s.score_masses), repr, max,
-                [compare_entropies(cons.score_masses, s.score_masses) for s in others]),
-        verdict("nash_entropy", lambda s: nash_entropy(s.equilibrium_sorted), repr, min,
-                [compare_entropies(s.equilibrium_sorted, cons.equilibrium_sorted) for s in others]),
+        verdict("ui_variance", lambda s: str(Fraction(s.ui_sq, (objects - 1) ** 2 * objects)),
+                max, lambda s: s.ui_sq, [_sign(cons.ui_sq - s.ui_sq) for s in others]),
+        verdict("nash_ties", lambda s: str(Fraction(s.kernel_sq, s.kernel_prefix[-1] ** 2)),
+                max, cmp_to_key(ties_order), [_sign(ties_order(cons, s)) for s in others]),
+        verdict("ui_entropy", lambda s: repr(ui_entropy(s)), max, ui_entropy,
+                [compare_entropies(cons.score_counts, s.score_counts) for s in others]),
+        verdict("nash_entropy", lambda s: repr(nash_ent(s)), min, nash_ent,
+                [compare_entropies(kernel[s.packed], kernel[cons.packed]) for s in others]),
     )
 
-    def tally(prefix: Callable[[_ClassStats], tuple[Fraction, ...]]) -> MajorizationTally:
-        counts = dict.fromkeys(Majorization, 0)
+    def tally(seq: Callable[[_ClassStats], tuple[tuple[int, ...], int]]) -> MajorizationTally:
+        # seq(s) is (prefix sums, denominator), compared cross-multiplied
+        counts = dict.fromkeys(Majorization, 0)  # strict, equal, no: the tally's order
         bad: list[tuple[int, str]] = []
+        pc, dc = seq(cons)
         for s in others:
-            got = compare_prefix_sums(prefix(cons), prefix(s))
+            p, d = seq(s)
+            got = compare_prefix_sums(tuple(a * d for a in pc), tuple(b * dc for b in p))
             counts[got] += 1
             if got is not Majorization.STRICT:
-                p = prefix(s)  # the descending sequence is its prefix sums' differences
-                bad.append((s.packed, str([str(b - a) for a, b in zip((0,) + p, p)])))
-        return MajorizationTally(
-            counts[Majorization.STRICT],
-            counts[Majorization.EQUAL],
-            counts[Majorization.NO],
-            tuple(bad),
-        )
+                bad.append((s.packed, str([str(Fraction(v, d)) for v in _differences(p)])))
+        return MajorizationTally(*counts.values(), tuple(bad))
 
-    ein_tally = tally(lambda s: s.wins_prefix)
-    eq_tally = tally(lambda s: s.equilibrium_prefix)
+    ein_tally = tally(lambda s: (s.wins_prefix, 1))
+    eq_tally = tally(lambda s: (s.kernel_prefix, s.kernel_prefix[-1]))
 
     # Schur: a strictly majorizing sequence has the larger variance or ties
     schur_violations = sum(
         _schur_violations(keys, deadline.check, f"Schur pass over {name} at {objects} objects")
         for name, keys in (
-            ("wins", [(s.wins_prefix, s.ui_v) for s in playable]),
-            ("equilibria", [(s.equilibrium_prefix, s.ties) for s in playable]),
+            ("wins", [(s.wins_prefix, s.ui_sq) for s in playable]),
+            ("equilibria", [(s.kernel_prefix, s.kernel_sq) for s in playable]),
         )
     )
 
-    champion = max(playable, key=lambda s: (s.ui_v, -s.packed))
+    champion = max(playable, key=lambda s: (s.ui_sq, -s.packed))
     champion_t = tournament_from_canonical(objects, champion.packed)
     return TheoremReport(
         n=n,
@@ -507,17 +520,7 @@ class EvenUnplayabilityReport(NamedTuple):
             "schema": 1,
             "report": "even_unplayable",
             "max_n": self.max_n,
-            "results": [
-                {
-                    "n": r.n,
-                    "tournament_count": r.tournament_count,
-                    "all_polytopes_empty": r.all_polytopes_empty,
-                    "all_determinants_odd_squares": r.all_determinants_odd_squares,
-                    "all_pfaffians_odd": r.all_pfaffians_odd,
-                    "failures": list(r.failures),
-                }
-                for r in self.results
-            ],
+            "results": [r._asdict() | {"failures": list(r.failures)} for r in self.results],
             "ok": self.ok,
         }
 

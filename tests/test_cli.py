@@ -862,6 +862,81 @@ def test_usage_errors_exit_1():
     assert exc.value.code == 1
 
 
+def _parser_corpus(tmp_path):
+    """(every command's valid forms, help and usage errors) as argvs."""
+    edges, csv_path, out = tmp_path / "cycle.edges", tmp_path / "well.csv", str(tmp_path / "out")
+    edges.write_text(CYCLE_EDGES)
+    csv_path.write_text(WELL_CSV)
+    valid = [
+        ["analyze", str(edges)], ["analyze", str(edges), "--md"],
+        ["analyze", str(csv_path), "--format", "csv"], ["analyze", str(edges), "--format=edges"],
+        ["generate", "imbalanced", "--n", "2"], ["generate", "imbalanced", "--n=3"],
+        ["generate", "classic-cycle", "--n", "3", "--json"],
+        ["blowup", str(edges), "1", str(edges)],
+        ["verify", "theorem", "--n", "1", "--out-dir", out],
+        ["verify", "theorem", "--n=2", "--out", out], ["verify", "even", "--max-n", "2", "--out", out],
+        ["verify", "structural", "--objects", "3", "--jobs", "1", "--budget", "60", "--out", out],
+        ["verify", "all", "--n", "1", "--max-n", "2", "--out", out],
+    ]
+    other = [
+        ["-h"], ["--help"], [], *([cmd, "-h"] for cmd in cli._COMMANDS),
+        ["frobnicate"], ["verify", "--bogus", "theorem"], ["verify", "nope"],
+        ["analyze", str(edges), "--format", "xml"], ["generate", "imbalanced", "--n", "x"],
+        ["generate", "imbalanced"], ["analyze"], ["blowup", str(edges)],
+        ["generate", "imbalanced", "--n", "2", "extra"], ["verify", "theorem", "--jobs", "0"],
+        ["analyze", "-h", str(edges)], ["--bogus", "analyze", str(edges)],
+    ]
+    return valid, other
+
+
+def _outcome(run, argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _full_parser_run(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_main_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
+    # main builds only the invoked command's parser; every argv gives the exit
+    # code, output and messages of the full parser followed by dispatch
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    valid, other = _parser_corpus(tmp_path)
+    for argv in valid + other:
+        assert _outcome(main, argv, capsys) == _outcome(_full_parser_run, argv, capsys), argv
+
+
+def test_each_command_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli._parser.cache_clear()
+    try:
+        valid, _ = _parser_corpus(tmp_path)
+        for argv in valid + valid:
+            _outcome(main, argv, capsys)
+        assert sorted(built) == sorted(f"tourneylab {c}" for c in cli._COMMANDS)
+        built.clear()
+        for argv in (["frobnicate"], ["-h"], ["verify", "--bogus", "theorem"]):
+            _outcome(main, argv, capsys)
+        # one full parser for three calls, whose command parsers copy new ones
+        commands = [f"tourneylab {c}" for c in cli._COMMANDS]
+        assert sorted(built) == sorted(["tourneylab", *commands, *commands])
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_console_script_subprocess(tmp_path):
     path = tmp_path / "cycle.edges"
     path.write_text(CYCLE_EDGES)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -110,7 +111,7 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
     # playable classes whose wins or equilibria strictly majorize is a violation
     class_stats = verify._class_stats
     monkeypatch.setattr(
-        verify, "_class_stats", lambda args: class_stats(args)._replace(ui_v=F(0), ties=F(0))
+        verify, "_class_stats", lambda args: class_stats(args)._replace(ui_sq=0, kernel_sq=0)
     )
     playable = []
     for packed in _iso_classes(7):
@@ -129,24 +130,23 @@ def test_schur_count_is_every_strict_pair_under_constant_statistics(monkeypatch)
 
 @pytest.mark.parametrize("objects", [7, 9])
 def test_class_stats_match_the_fraction_statistics(objects):
-    # the integer record equals, field by field and type by type, the one built
-    # from the Fraction equilibrium and the uniform payoff profile
+    # the integer record, over its denominators (n - 1)^2 n, T^2, n and T, gives
+    # exactly the statistics of the Fraction equilibrium and the uniform payoffs
     for packed, aut in zip(*_playable_classes(objects)):
         t = tournament_from_canonical(objects, packed)
         eq = tournament_equilibrium(t.win)
         profile = uniform_profile(t)
-        expected = verify._ClassStats(
-            packed,
-            wins_prefix=descending_prefix_sums(degree_profile(t).e_in),
-            ui_v=ui_variance(profile),
-            ties=nash_ties(eq),
-            score_masses=tuple(profile.score_distribution.values()),
-            equilibrium_sorted=tuple(sorted(eq, reverse=True)),
-            equilibrium_prefix=descending_prefix_sums(eq),
-        )
         got = verify._class_stats((objects, packed, aut))
-        for name in expected._fields:
-            assert repr(getattr(got, name)) == repr(getattr(expected, name))
+        ints = [got.ui_sq, got.kernel_sq, *got.wins_prefix, *got.score_counts, *got.kernel_prefix]
+        assert all(type(v) is int for v in ints)
+        total = got.kernel_prefix[-1]
+        assert got.packed == packed
+        assert got.wins_prefix == descending_prefix_sums(degree_profile(t).e_in)
+        assert F(got.ui_sq, (objects - 1) ** 2 * objects) == ui_variance(profile)
+        assert F(got.kernel_sq, total**2) == nash_ties(eq)
+        assert [F(c, objects) for c in got.score_counts] == list(profile.score_distribution.values())
+        assert tuple(F(p, total) for p in got.kernel_prefix) == descending_prefix_sums(eq)
+        assert math.gcd(*got.kernel_prefix) == 1  # one record per equilibrium
 
 
 def forbid_class_builds(monkeypatch):
@@ -519,9 +519,8 @@ def _entropy_100_digits(masses) -> Decimal:
                     for m in masses if m > 0)
 
 
-_mass_lists = st.lists(st.integers(0, 1000), min_size=2, max_size=15).filter(any).map(
-    lambda w: [F(x, sum(w)) for x in w]
-)
+_weight_lists = st.lists(st.integers(0, 1000), min_size=2, max_size=15).filter(any)
+_mass_lists = _weight_lists.map(lambda w: [F(x, sum(w)) for x in w])
 
 
 @settings(max_examples=300, deadline=None)
@@ -533,6 +532,27 @@ def test_compare_entropies_float_sign_matches_exact(x, y):
     exact = _entropy_100_digits(x) - _entropy_100_digits(y)
     if abs(_entropy_float(x) - _entropy_float(y)) > FLOAT_ENTROPY_SEPARATION:
         assert compare_entropies(x, y) == (1 if exact > 0 else -1)
+
+
+def _guarded(compare, x, y):
+    try:
+        return compare(x, y)
+    except GuardBandError:
+        return "guard band"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_lists, _mass_lists, st.integers(1, 7))
+def test_compare_entropies_integer_weights_stand_for_their_masses(w, y, k):
+    # weights w, under any total k * sum(w), give the masses w / sum(w): the
+    # same floats, the same 256-bit sums and the same verdicts
+    masses = [F(v, sum(w)) for v in w]
+    scaled = [k * v for v in w]
+    assert _entropy_float(scaled) == _entropy_float(masses)
+    assert verify._entropy_bits(scaled) == verify._entropy_bits(masses)
+    assert _guarded(compare_entropies, scaled, w) == 0
+    assert _guarded(compare_entropies, scaled, y) == _guarded(compare_entropies, masses, y)
+    assert _guarded(compare_entropies, y, scaled) == _guarded(compare_entropies, y, masses)
 
 
 @pytest.mark.parametrize("e", [F(1, 10**7), F(1, 10**13)], ids=["gap-6e-14", "gap-6e-26"])
@@ -557,25 +577,28 @@ def test_compare_entropies_near_tie_takes_the_exact_path(monkeypatch, e):
 
 
 def _brute_schur(keys):
-    """The pairwise Schur loop over every ordered pair."""
+    """The pairwise Schur loop over every ordered pair, on the Fraction values
+    of the keys: sequence p / p[-1] and statistic s / p[-1]^2."""
     strict = Majorization.STRICT
+    values = [(tuple(F(x, p[-1]) for x in p), F(s, p[-1] ** 2)) for p, s in keys]
     return sum(
-        1 for pa, va in keys for pb, vb in keys
+        1 for pa, va in values for pb, vb in values
         if compare_prefix_sums(pa, pb) is strict and not va > vb
     )
 
 
 def test_schur_violations_by_group_match_every_pair():
-    # descending sequences of 4 entries that sum to 6, with repeats
+    # descending sequences of 4 entries that sum to 6, with repeats, each under
+    # a kernel total of 6, 12 or 18, so one sequence can come in several keys
     seqs = [s for s in itertools.product(range(7), repeat=4)
             if sum(s) == 6 and list(s) == sorted(s, reverse=True)]
     rng = random.Random(15)
     for _ in range(40):
         keys = []
         for _ in range(rng.randint(1, 30)):
-            seq = rng.choice(seqs)
-            prefix = tuple(F(sum(seq[: i + 1])) for i in range(4))
-            keys.append((prefix, F(rng.randint(0, 3))))
+            seq, scale = rng.choice(seqs), rng.randint(1, 3)
+            prefix = tuple(scale * sum(seq[: i + 1]) for i in range(4))
+            keys.append((prefix, scale * scale * rng.randint(0, 3)))
         polls = []
         got = _schur_violations(keys, polls.append, "Schur pass over test")
         assert got == _brute_schur(keys)
