@@ -179,11 +179,11 @@ def parse_win_rate_csv(text: str) -> Tournament:
         raise CsvParseError(f"header row: {exc}") from None
 
 
-def build_analysis(t: Tournament, alpha: Fraction = Fraction(1, 2)) -> dict:
+def build_analysis(t: Tournament) -> dict:
     """Full analysis document for one tournament (JSON-ready)."""
     profile = degree_profile(t)
     report = classify_playability(t)
-    imb = imbalance_report(t, alpha, report) if t.n >= 2 else None
+    imb = imbalance_report(t, playability=report) if t.n >= 2 else None
     kmin = [{"k": k, "ok": ok} for k, ok in enumerate(_k_minimizing_sweep(t), 1)]
     doc: dict = {
         "schema": 1,
@@ -348,12 +348,27 @@ def _cmd_blowup(args) -> int:
     return EXIT_OK
 
 
+# each verify size option: its default and the suites that read it
+_VERIFY_SIZES = {
+    "n": (2, ("theorem", "all")),
+    "max_n": (6, ("even", "all")),
+    "objects": (5, ("structural",)),
+}
+
+
 def _cmd_verify(args) -> int:
-    # size bounds and the output directory are checked before the first suite runs
+    # size options, bounds and the output directory are checked before the
+    # first suite runs
     out_dir = Path(args.out_dir)
     suites: list[tuple[str, Callable[[], object]]] = []
     opts = {"jobs": args.jobs, "budget_secs": args.budget}
     try:
+        for name, (default, readers) in _VERIFY_SIZES.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif args.suite not in readers:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} is not read by verify {args.suite}")
         if args.suite in ("theorem", "all"):
             _theorem_bounds(args.n)
             suites.append((f"theorem_n{args.n}", partial(verify_theorem, args.n, **opts)))
@@ -428,9 +443,10 @@ _COMMANDS = {
     ]),
     "verify": ("run the exhaustive verification suites", _cmd_verify, [
         ("suite", dict(choices=("theorem", "even", "structural", "all"))),
-        ("--n", dict(type=int, default=2, help="half-count for the theorem suite")),
-        ("--objects", dict(type=int, default=5, help="object count for the structural suite")),
-        ("--max-n", dict(type=int, default=6, help="cap for the even suite")),
+        # None when not given: _cmd_verify fills in the default of _VERIFY_SIZES
+        ("--n", dict(type=int, help="half-count for the theorem suite")),
+        ("--objects", dict(type=int, help="object count for the structural suite")),
+        ("--max-n", dict(type=int, help="cap for the even suite")),
         ("--jobs", dict(type=_jobs_arg, default=1,
                         help="worker processes (at most the CPU count)")),
         ("--budget", dict(type=float, default=None, help="time budget in seconds "

@@ -17,34 +17,22 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .rational import RationalMatrix, Vector, kernel_basis
-from .tournament import Tournament, _extended_classes, _iso_classes, _unpack, is_strong
-from .tournament import _loss_masks, _min_wins_extensions
+from .tournament import Tournament, _extended_classes, _iso_classes, is_strong
+from .tournament import _loss_masks, _members, _min_wins_extensions
 
 SUPPORT_ENUM_LIMIT = 8
 
 
 def payoff_rows(t: Tournament) -> list[list[int]]:
     """Integer rows of the payoff matrix: +1 iff i defeats j, -1 iff j defeats i."""
-    rows = []
-    for i, w in enumerate(t.win):
-        row = [1 if bit == "1" else -1 for bit in f"{w:0{t.n}b}"[::-1]]
-        row[i] = 0
-        rows.append(row)
-    return rows
+    return [
+        [(w >> j & 1) * 2 - 1 if j != i else 0 for j in range(t.n)] for i, w in enumerate(t.win)
+    ]
 
 
 def payoff_matrix(t: Tournament) -> RationalMatrix:
     """Skew-symmetric matrix with A[i][j] = +1 iff i defeats j."""
     return RationalMatrix(payoff_rows(t))
-
-
-def packed_payoff_rows(n: int, packed: int) -> list[list[int]]:
-    """payoff_rows(tournament_from_canonical(n, packed)), built straight from
-    the packed mask."""
-    rows = [[0] * n for _ in range(n)]
-    for i, j, i_wins in _unpack(n, packed):
-        rows[i][j], rows[j][i] = (1, -1) if i_wins else (-1, 1)
-    return rows
 
 
 def _signed_kernel(win: Sequence[int]) -> list[int] | None:
@@ -204,7 +192,8 @@ def classify_playability(t: Tournament) -> PlayabilityReport:
     point = tournament_equilibrium(t.win)
     strong = is_strong(t)
     if point is None:
-        pair = next(_pure_dominated(t, "weak"), None)
+        i, d = next(_pure_dominated(t, "weak"), (None, 0))
+        pair = (i, (d & -d).bit_length() - 1) if d else None
         return PlayabilityReport(Playability.UNPLAYABLE, t, strong, dominating_pair=pair)
     return PlayabilityReport(Playability.STRONGLY_PLAYABLE, t, strong, equilibrium=point)
 
@@ -212,20 +201,6 @@ def classify_playability(t: Tournament) -> PlayabilityReport:
 # ---------------------------------------------------------------------------
 # dominance
 # ---------------------------------------------------------------------------
-
-def _weak_dominating_mixture(t: Tournament, i: int) -> Vector | None:
-    """The best weakly dominating mixture of the other rows against row i, or None.
-
-    A weight on k needs k to beat every object that i beats (those columns
-    already pay i the most) and so also to beat i, else column k fails. So the
-    dominating mixtures are the simplex on the pure weak dominators D_i, and a
-    mixture w has total slack 2 * (sum_k w_k wins_k - wins_i) over i's row:
-    the best is the pure k in D_i with the most wins, the largest such k on a
-    tie, as a vertex search in sorted order finds first."""
-    need = t.win[i] | 1 << i
-    best = max(((w.bit_count(), k) for k, w in enumerate(t.win) if not need & ~w), default=None)
-    return None if best is None else _embed(t.n, [best[1]], [Fraction(1)])
-
 
 def _strict_dominating_mixture(t: Tournament, i: int) -> Vector | None:
     """The mixture of the other rows with the largest margin over row i when
@@ -255,10 +230,11 @@ def _strict_dominating_mixture(t: Tournament, i: int) -> Vector | None:
 
 
 def _pure_dominated(t: Tournament, mode: str) -> Iterator[tuple[int, int]]:
-    """(dominated, first dominator) for each object that another one dominates,
-    as find_dominated's pure mode defines it. With W_i the objects i beats, k
-    weakly dominates i iff k beats i and all of W_i, so iff k lies in each of
-    their beater masks; strictly iff moreover W_i is empty and k is a source."""
+    """(i, D_i) for each object i that another one dominates, D_i the mask of
+    its dominators as find_dominated's pure mode defines them. With W_i the
+    objects i beats, k weakly dominates i iff k beats i and all of W_i, so iff
+    k lies in each of their beater masks; strictly iff moreover W_i is empty
+    and k is a source."""
     beaters = _loss_masks(t)
     source = sum(1 << k for k, w in enumerate(t.win) if w.bit_count() == t.n - 1)
     for i, w_i in enumerate(t.win):
@@ -268,7 +244,7 @@ def _pure_dominated(t: Tournament, mode: str) -> Iterator[tuple[int, int]]:
             d &= beaters[j.bit_length() - 1]
             w_i ^= j
         if d:
-            yield i, (d & -d).bit_length() - 1
+            yield i, d
 
 
 def find_dominated(
@@ -277,26 +253,31 @@ def find_dominated(
     """Dominated objects with a dominating strategy each.
 
     Pure mode compares full payoff rows over every opponent object (weak:
-    >= everywhere and > somewhere; strict: > everywhere). Mixed mode returns
-    the best convex combination of the other rows, as a full-length weight
-    vector. On a tournament it has a closed form: weak, the pure weak dominator
-    with the most wins; strict, only for a sink, the optimal strategy of the
-    game without it, searched over odd supports for at most SUPPORT_ENUM_LIMIT
-    objects.
+    >= everywhere and > somewhere; strict: > everywhere) and names the
+    dominator with the lowest index. Mixed mode returns the best convex
+    combination of the other rows, as a full-length weight vector. On a
+    tournament it has a closed form. Strict: only for a sink, the optimal
+    strategy of the game without it, searched over odd supports for at most
+    SUPPORT_ENUM_LIMIT objects. Weak: the pure weak dominator in D_i with the
+    most wins, the largest index on a tie. A weight on k needs k to beat every
+    object that i beats (those columns already pay i the most) and so also to
+    beat i, else column k fails. So the weakly dominating mixtures are the
+    simplex on D_i, and a mixture w has total slack
+    2 * (sum_k w_k wins_k - wins_i) over i's row: a vertex is best.
     """
     if mode not in ("weak", "strict"):
         raise ValueError("mode must be 'weak' or 'strict'")
     if against not in ("pure", "mixed"):
         raise ValueError("against must be 'pure' or 'mixed'")
     if against == "pure":
-        return list(_pure_dominated(t, mode))
+        return [(i, (d & -d).bit_length() - 1) for i, d in _pure_dominated(t, mode)]
     if mode == "weak":
-        mixed = ((i, _weak_dominating_mixture(t, i)) for i in range(t.n))
-    elif t.n <= SUPPORT_ENUM_LIMIT:
-        mixed = ((i, _strict_dominating_mixture(t, i)) for i in range(t.n))
-    else:
+        best = lambda d: max(_members(d), key=lambda k: (t.win[k].bit_count(), k))
+        return [(i, _embed(t.n, [best(d)], [Fraction(1)])) for i, d in _pure_dominated(t, mode)]
+    if t.n > SUPPORT_ENUM_LIMIT:
         raise ValueError(
             f"strict mixed dominance is bounded at n <= {SUPPORT_ENUM_LIMIT}, got {t.n}"
         )
+    mixed = ((i, _strict_dominating_mixture(t, i)) for i in range(t.n))
     return [(i, w) for i, w in mixed if w is not None]
 

@@ -365,19 +365,20 @@ def _canonical_search(win: Sequence[int]) -> tuple[int, int]:
     return best, aut
 
 
-def _unpack(n: int, packed: int) -> list[tuple[int, int, bool]]:
-    """(i, j, whether i beats j) for each pair i < j: the row-major upper
-    triangle, row 0 most significant, as canonical_form packs it."""
-    ps = _pairs(n)
-    return [(i, j, (packed >> (len(ps) - 1 - b)) & 1 == 1) for b, (i, j) in enumerate(ps)]
+def _unpack(n: int, packed: int) -> list[int]:
+    """The win masks of the game packed as canonical_form packs it: the
+    row-major upper triangle, row 0 most significant, bit (i, j) set iff i
+    beats j."""
+    win = [0] * n
+    for b, (i, j) in enumerate(reversed(_pairs(n))):
+        winner, loser = (i, j) if packed >> b & 1 else (j, i)
+        win[winner] |= 1 << loser
+    return win
 
 
 def tournament_from_canonical(n: int, packed: int) -> Tournament:
     """Inverse of the packing used by canonical_form (not re-canonicalized)."""
-    win = [0] * n
-    for i, j, i_wins in _unpack(n, packed):
-        win[i if i_wins else j] |= 1 << (j if i_wins else i)
-    return Tournament._from_masks(n, win)
+    return Tournament._from_masks(n, _unpack(n, packed))
 
 
 # n -> (sorted canonical forms, |Aut T| of each)
@@ -392,13 +393,13 @@ def _extended_classes(
     from the search of the first extension that reaches each form."""
     seen: dict[int, int] = {}
     for packed in parents:
-        for ext in extensions(tournament_from_canonical(size, packed).win):
+        for ext in extensions(_unpack(size, packed)):
             seen.setdefault(*_canonical_search(ext))
     out = tuple(sorted(seen))
     return out, tuple(seen[form] for form in out)
 
 
-def _min_wins_extensions(win: tuple[int, ...]) -> Iterator[list[int]]:
+def _min_wins_extensions(win: Sequence[int]) -> Iterator[list[int]]:
     """The extensions of a game by a new vertex with the fewest wins and, among
     the vertices with as few, the largest sum of its victims' wins. Deleting
     such a vertex of an n-class T, extremal by these invariants, leaves an
@@ -545,7 +546,7 @@ def _orbit_masks(n: int, packed: int) -> list[int]:
     n!/|Aut T| of them, found by applying all n! relabelings."""
     ps = _pairs(n)
     bit = {p: 1 << (len(ps) - 1 - b) for b, p in enumerate(ps)}
-    edges = [(i, j) if i_wins else (j, i) for i, j, i_wins in _unpack(n, packed)]
+    edges = [(i, j) for i, w in enumerate(_unpack(n, packed)) for j in _members(w)]
     return sorted({
         sum(bit[perm[w], perm[l]] for w, l in edges if perm[w] < perm[l])
         for perm in itertools.permutations(range(n))

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import tournament
 from .construct import imbalanced_rps
-from .equilibrium import _signed_kernel, packed_payoff_rows, tournament_equilibrium
+from .equilibrium import _signed_kernel, payoff_rows, tournament_equilibrium
 from .imbalance import Majorization, compare_prefix_sums, nash_entropy
 from .rational import _bareiss_echelon, _pfaffian_expand
 from .tournament import (
@@ -557,9 +557,7 @@ def _even_checks(rows: list[list[int]]) -> tuple[bool, bool, bool]:
 
 
 def _even_class(args: tuple[int, int, int]) -> tuple[bool, bool, bool]:
-    n, packed, _ = args
-    _listed_class(*args)
-    return _even_checks(packed_payoff_rows(n, packed))
+    return _even_checks(payoff_rows(_listed_class(*args)))
 
 
 def _even_bounds(max_n: int) -> None:

@@ -413,6 +413,8 @@ def test_verify_structural(tmp_path, capsys):
 REPORT_DIGESTS = {
     "even_maxn4.json": "be4a601416aa00d0595137a2a7ca761e593838efb8a9ddf3c7602e9f1ec80151",
     "even_maxn4.md": "54827c899d79252316b0703464e2df6f28b92d5e6ae1b993e7fd26a894edc6b3",
+    "even_maxn6.json": "f5d5ace99b8b939fe2f818d68ffdc25b51cb70119cc5743476bcdc435facc7ad",
+    "even_maxn6.md": "43eab96677f87cf4e51237e37b79096c0c1f3b87a18a68f08101b3589975b20d",
     "structural_n3.json": "0e175c810e8088ea810801e83cc78f141b643e7604dc7058e3cb99bf615ebaea",
     "structural_n3.md": "7eaf12707860c098d7e3e2ff25be061dd302cda6251f963f4b038dc5a6dcc1fd",
     "structural_n5.json": "8aff5188d7d99b8ca0679cf2a9c390ab402a36f202d12a1ab0d0c22350012180",
@@ -431,7 +433,7 @@ REPORT_DIGESTS = {
 def test_verify_reports_match_pinned_digests(tmp_path, capsys):
     runs = [["theorem", "--n", n] for n in ("1", "2", "3")]
     runs += [["structural", "--objects", m] for m in ("3", "5", "7")]
-    runs += [["even", "--max-n", "4"]]
+    runs += [["even", "--max-n", m] for m in ("4", "6")]
     for args in runs:
         run_cli(["verify", *args, "--out-dir", str(tmp_path)], capsys)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
@@ -764,6 +766,10 @@ def test_verify_bad_budget_exit_1(tmp_path, capsys, budget):
         ["verify", "structural", "--objects", "1"],
         ["verify", "all", "--n", "5"],
         ["verify", "structural", "--objects", "11"],
+        # a size option that the suite does not read
+        ["verify", "theorem", "--objects", "9"],
+        ["verify", "structural", "--n", "4"],
+        ["verify", "even", "--n", "4"],
     ],
 )
 def test_verify_out_of_range_exit_1(tmp_path, capsys, args):

@@ -39,11 +39,7 @@ from tourneylab import (
 )
 from conftest import rewrite_class_list
 from tourneylab import equilibrium, tournament, verify
-from tourneylab.equilibrium import (
-    _playable_classes,
-    packed_payoff_rows,
-    tournament_equilibrium,
-)
+from tourneylab.equilibrium import _playable_classes, payoff_rows, tournament_equilibrium
 from tourneylab.imbalance import (
     compare_prefix_sums,
     descending_prefix_sums,
@@ -261,7 +257,7 @@ def brute_even_report(max_n: int) -> EvenUnplayabilityReport:
     results = []
     for n in range(2, max_n + 1, 2):
         total = 1 << (n * (n - 1) // 2)
-        checked = [(m, verify._even_checks(packed_payoff_rows(n, m))) for m in range(total)]
+        checked = [(m, verify._even_checks(payoff_rows(tournament_from_canonical(n, m)))) for m in range(total)]
         failed = [(m, c) for m, c in checked if not all(c)]
         results.append(
             EvenOrderResult(
