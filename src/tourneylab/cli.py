@@ -336,7 +336,7 @@ def _cmd_blowup(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     glue: int | str = args.vertex
-    if glue.isdigit() and glue not in g1.labels:
+    if glue.isdecimal() and glue not in g1.labels:  # exactly the digits int() reads
         glue = int(glue)
     try:
         blown = blow_up(g1, glue, g2)
@@ -456,45 +456,79 @@ _COMMANDS = {
 }
 
 
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """A new parser for `command` alone, as `build_parser` gives it."""
-    _, func, arguments = _COMMANDS[command]
-    parser = _Parser(prog=f"tourneylab {command}")
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
-    parser.set_defaults(func=func)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tourneylab",
         description="Exact analysis of rock-paper-scissors games on tournaments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, parents=[_command_parser(name)], add_help=False)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
 
 
-@cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """`build_parser()`, or the parser of `command` alone, built once per
-    process: building a parser costs far more than parsing with it."""
-    return _command_parser(command) if command else build_parser()
+# built once per process: building a parser costs far more than parsing with it
+_parser = cache(build_parser)
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives for a plain argv, read without
+    building it. Plain means: a known command; each option spelled in full and
+    given once, as `--name value`, `--name=value` or a bare flag; no other word
+    and no value starting with "-"; the positionals filled exactly; every value
+    of its type and choices; every required option present. None for any other
+    argv, which only the full parser answers."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    specs = dict(arguments)
+    positionals = iter([flag for flag in specs if not flag.startswith("-")])
+    given: dict[str, object] = {}
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            flag, text = next(positionals, None), word
+            if flag is None:
+                return None
+        else:
+            flag, eq, text = word.partition("=")
+            if flag not in specs or flag in given:
+                return None
+            if specs[flag].get("action") == "store_true":
+                if eq:
+                    return None
+                given[flag] = True
+                continue
+            if not eq:
+                text = next(words, "-")  # a missing value falls through as "-" does
+            if text.startswith("-"):
+                return None
+        spec = specs[flag]
+        try:
+            given[flag] = spec.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in spec and given[flag] not in spec["choices"]:
+            return None
+    missing = any(spec.get("required") and flag not in given for flag, spec in arguments)
+    if missing or next(positionals, None):
+        return None
+    values = {}
+    for flag, spec in arguments:
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(command=argv[0], **values, func=func)
 
 
 def main(argv=None) -> int:
-    """Run one command, building only its parser. The full parser parses what
-    it would answer otherwise (no or an unknown command, top-level options,
-    arguments the command leaves over), so usage, messages and exit codes stay
-    the full parser's."""
+    """Run one command. A plain argv (see `_plain_args`) is read without
+    argparse; the full parser parses any other, so help, usage, messages and
+    exit codes stay argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args.func(args)
-    args = _parser().parse_args(argv)
+    args = _plain_args(argv) or _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -338,9 +338,10 @@ def test_blowup_unknown_label(tmp_path, capsys):
 def test_blowup_unknown_vertex_message_unquoted(tmp_path, capsys):
     g = tmp_path / "g.edges"
     g.write_text(CYCLE_EDGES)
-    assert run_cli(["blowup", str(g), "-1", str(g)], capsys) == (
-        1, "", "error: no vertex labeled '-1'\n"
-    )
+    for vertex in ("-1", "²"):  # "²" is a digit to str.isdigit, not to int()
+        assert run_cli(["blowup", str(g), vertex, str(g)], capsys) == (
+            1, "", f"error: no vertex labeled '{vertex}'\n"
+        )
 
 
 def test_blowup_repeated_labels_exit_1(tmp_path, capsys):
@@ -869,30 +870,44 @@ def test_usage_errors_exit_1():
 
 
 def _parser_corpus(tmp_path):
-    """(every command's valid forms, help and usage errors) as argvs."""
+    """(argvs main reads without argparse, argvs only the full parser answers:
+    other valid forms, help and usage errors)."""
     edges, csv_path, out = tmp_path / "cycle.edges", tmp_path / "well.csv", str(tmp_path / "out")
     edges.write_text(CYCLE_EDGES)
     csv_path.write_text(WELL_CSV)
-    valid = [
+    equals = tmp_path / "a=b.edges"
+    equals.write_text(CYCLE_EDGES)
+    plain = [
         ["analyze", str(edges)], ["analyze", str(edges), "--md"],
         ["analyze", str(csv_path), "--format", "csv"], ["analyze", str(edges), "--format=edges"],
+        ["analyze", "--md", str(equals)], ["analyze", ""],
         ["generate", "imbalanced", "--n", "2"], ["generate", "imbalanced", "--n=3"],
         ["generate", "classic-cycle", "--n", "3", "--json"],
         ["blowup", str(edges), "1", str(edges)],
         ["verify", "theorem", "--n", "1", "--out-dir", out],
-        ["verify", "theorem", "--n=2", "--out", out], ["verify", "even", "--max-n", "2", "--out", out],
-        ["verify", "structural", "--objects", "3", "--jobs", "1", "--budget", "60", "--out", out],
-        ["verify", "all", "--n", "1", "--max-n", "2", "--out", out],
+        ["verify", "--n", "1", "--out-dir", out, "theorem"],
+        ["verify", "even", "--max-n", "2", "--out-dir", out],
+        ["verify", "structural", "--objects", "3", "--jobs", "1", "--budget", "60",
+         "--out-dir", out],
+        ["verify", "all", "--n", "1", "--max-n", "2", "--out-dir", out],
+        ["verify", "theorem", "--n", "1", "--out-dir="],
     ]
     other = [
+        ["verify", "theorem", "--n=2", "--out", out], ["verify", "even", "--max-n", "2", "--out", out],
+        ["verify", "theorem", "--n", "1", "--n", "2", "--out-dir", out],
+        ["verify", "theorem", "--budget", "-1", "--out-dir", out],
+        ["verify", "theorem", "--n", "-1", "--out-dir", out],
+        ["verify", "--out-dir", out, "--", "theorem"], ["analyze", "-"],
         ["-h"], ["--help"], [], *([cmd, "-h"] for cmd in cli._COMMANDS),
         ["frobnicate"], ["verify", "--bogus", "theorem"], ["verify", "nope"],
         ["analyze", str(edges), "--format", "xml"], ["generate", "imbalanced", "--n", "x"],
+        ["generate", "imbalanced", "--n="], ["analyze", str(edges), "--md=1"],
+        ["verify", "theorem", "--jobs", "x"], ["verify", "theorem", "--out-dir"],
         ["generate", "imbalanced"], ["analyze"], ["blowup", str(edges)],
         ["generate", "imbalanced", "--n", "2", "extra"], ["verify", "theorem", "--jobs", "0"],
         ["analyze", "-h", str(edges)], ["--bogus", "analyze", str(edges)],
     ]
-    return valid, other
+    return plain, other
 
 
 def _outcome(run, argv, capsys):
@@ -909,16 +924,21 @@ def _full_parser_run(argv):
 
 
 def test_main_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
-    # main builds only the invoked command's parser; every argv gives the exit
-    # code, output and messages of the full parser followed by dispatch
+    # main reads a plain argv itself and hands every other to the full parser;
+    # each argv gives the exit code, output and messages of the full parser
+    # followed by dispatch, and the reader's namespace is the full parser's
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
-    valid, other = _parser_corpus(tmp_path)
-    for argv in valid + other:
+    plain, other = _parser_corpus(tmp_path)
+    for argv in plain:
+        assert cli._plain_args(argv) == cli.build_parser().parse_args(argv), argv
+    for argv in other:
+        assert cli._plain_args(argv) is None, argv
+    for argv in plain + other:
         assert _outcome(main, argv, capsys) == _outcome(_full_parser_run, argv, capsys), argv
 
 
-def test_each_command_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+def test_plain_argv_build_no_parser_and_others_the_full_one_once(tmp_path, capsys, monkeypatch):
     built = []
 
     class CountingParser(cli._Parser):
@@ -927,18 +947,21 @@ def test_each_command_parser_is_built_once_per_process(tmp_path, capsys, monkeyp
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.chdir(tmp_path)
     cli._parser.cache_clear()
     try:
-        valid, _ = _parser_corpus(tmp_path)
-        for argv in valid + valid:
+        plain, _ = _parser_corpus(tmp_path)
+        for argv in plain:
             _outcome(main, argv, capsys)
-        assert sorted(built) == sorted(f"tourneylab {c}" for c in cli._COMMANDS)
-        built.clear()
-        for argv in (["frobnicate"], ["-h"], ["verify", "--bogus", "theorem"]):
+        assert built == []
+        help_abbreviation_and_errors = (
+            ["-h"], ["verify", "theorem", "--n", "1", "--out", str(tmp_path / "out")],
+            ["frobnicate"], ["verify", "--bogus", "theorem"], ["analyze", "-h"],
+        )
+        for argv in help_abbreviation_and_errors:
             _outcome(main, argv, capsys)
-        # one full parser for three calls, whose command parsers copy new ones
-        commands = [f"tourneylab {c}" for c in cli._COMMANDS]
-        assert sorted(built) == sorted(["tourneylab", *commands, *commands])
+        # one full parser for every call: the top level and a subparser per command
+        assert sorted(built) == sorted(["tourneylab", *(f"tourneylab {c}" for c in cli._COMMANDS)])
     finally:
         cli._parser.cache_clear()
 
@@ -958,24 +981,29 @@ def test_console_script_subprocess(tmp_path):
 IMPORT_BOUNDARY = """\
 import sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
-from tourneylab.cli import main
-analyze = main(["analyze", sys.argv[1]])
-theorem = main(["verify", "theorem", "--n", "3", "--jobs", "1", "--out-dir", sys.argv[2]])
-print(analyze, theorem, "multiprocessing" in sys.modules)
+from tourneylab import cli
+analyze = cli.main(["analyze", sys.argv[1]])
+theorem = cli.main(["verify", "theorem", "--n", "3", "--jobs", "1", "--out-dir", sys.argv[2]])
+print(analyze, theorem, "multiprocessing" in sys.modules, "locale" in sys.modules,
+      cli._parser.cache_info().currsize)
 """
 
 
 def test_serial_runs_import_neither_mpmath_nor_multiprocessing(tmp_path):
+    # plain argvs build no argparse parser, whose first use loads locale for
+    # gettext (-S keeps site hooks out of the check)
+    src = Path(__file__).resolve().parents[1] / "src"
     path = tmp_path / "rps7.edges"
     path.write_text(format_edge_list(imbalanced_rps(3)))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY, str(path), str(tmp_path / "reports")],
+        [sys.executable, "-S", "-c", IMPORT_BOUNDARY, str(path), str(tmp_path / "reports")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     # analyze exits 0 on a playable game; the 7-object theorem report says FAIL (exit 1)
-    assert proc.stdout.splitlines()[-1] == "0 1 False"
+    assert proc.stdout.splitlines()[-1] == "0 1 False False 0"
     report = json.loads((tmp_path / "reports" / "theorem_n3.json").read_text())
     assert report == verify.verify_theorem(3).to_json_dict()
 
